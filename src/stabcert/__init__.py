@@ -28,7 +28,6 @@ from stabcert.gf2 import (
     greedy_max_weight_basis,
     sample_uniform_gauge,
 )
-from stabcert.kernels import BACKEND as KERNEL_BACKEND
 from stabcert.policy import (
     DisagreementSpectrum,
     PolicyChoice,
@@ -72,6 +71,9 @@ from stabcert.syndrome import (
 )
 
 __version__ = "0.1.0"
+
+# The kernels in stabcert.kernels are numpy code; there is no other backend.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "AffineSupportSpec",

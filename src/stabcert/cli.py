@@ -48,7 +48,6 @@ _RUN_KEYS = {
     "initial_gauge",
     "seed",
     "solver",
-    "tiebreak",
     "assertions",
 }
 _INSTANCE_KEYS = {"kind", "r", "s0", "fidelity", "k_errors", "probs"}

@@ -1,37 +1,38 @@
-"""Kernel backend selection.
+"""The hot inner loops: Walsh-Hadamard butterfly and simplex pivot update.
 
-The hot inner loops (Walsh-Hadamard butterfly, simplex pivot update) exist
-twice: a compiled Cython extension and a pure numpy fallback.  This module
-picks one at import time and exposes it under a stable name.
-
-Set ``STABCERT_KERNELS=python`` or ``STABCERT_KERNELS=compiled`` to force a
-backend; the default tries the compiled extension and falls back silently.
+Both work in place on float64 numpy arrays.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-__all__ = ["fwht_inplace", "pivot_update", "BACKEND"]
+__all__ = ["fwht_inplace", "pivot_update"]
 
-_forced = os.environ.get("STABCERT_KERNELS", "").strip().lower()
-if _forced not in ("", "compiled", "python"):
-    raise ImportError(
-        f"STABCERT_KERNELS must be 'compiled' or 'python', got {_forced!r}"
-    )
 
-if _forced == "python":
-    from stabcert._kernels_numpy import fwht_inplace, pivot_update
+def fwht_inplace(a: np.ndarray) -> None:
+    """Walsh-Hadamard transform of a length 2**n float64 vector, in place.
 
-    BACKEND = "python"
-else:
-    try:
-        from stabcert._native import fwht_inplace, pivot_update
+    Unnormalized: applying it twice multiplies the input by 2**n.
+    """
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        b = a.reshape(-1, 2, h)
+        x = b[:, 0, :].copy()
+        y = b[:, 1, :].copy()
+        b[:, 0, :] = x + y
+        b[:, 1, :] = x - y
+        h *= 2
 
-        BACKEND = "compiled"
-    except ImportError:
-        if _forced == "compiled":
-            raise
-        from stabcert._kernels_numpy import fwht_inplace, pivot_update
 
-        BACKEND = "python"
+def pivot_update(tableau: np.ndarray, row: int, col: int) -> None:
+    """One simplex pivot on a dense tableau, in place.
+
+    Divides ``row`` by the pivot element, then eliminates ``col`` from every
+    other row by a rank-1 update.
+    """
+    tableau[row, :] /= tableau[row, col]
+    colv = tableau[:, col].copy()
+    colv[row] = 0.0
+    tableau[:, :] -= np.outer(colv, tableau[row, :])

@@ -16,7 +16,6 @@ for large ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -261,7 +260,6 @@ def _standard_form(
     b_eq: np.ndarray,
     a_band: np.ndarray,
     band_bounds: np.ndarray,
-    fixed: Sequence[tuple[int, float]] = (),
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Assemble [A | slacks] x = b with x >= 0; returns (A, b, n_vars)."""
     n_vars = a_eq.shape[1]
@@ -276,11 +274,6 @@ def _standard_form(
         vals.append(band_bounds[j, 1])
         rows.append((a_band[j], 2 * j + 1, -1.0))  # row - s = lo
         vals.append(band_bounds[j, 0])
-    for coord, value in fixed:
-        unit = np.zeros(n_vars)
-        unit[coord] = 1.0
-        rows.append((unit, None, 0.0))
-        vals.append(value)
     m = len(rows)
     a = np.zeros((m, n_vars + 2 * n_band))
     b = np.asarray(vals, dtype=np.float64)
@@ -443,10 +436,7 @@ def _witness_ok(
 
 
 def _solve_sense(
-    cset: ConstraintSet,
-    sense: int,
-    backend: str,
-    fixed: Sequence[tuple[int, float]],
+    cset: ConstraintSet, sense: int, backend: str
 ) -> tuple[str, np.ndarray | None]:
     """One LP: sense=+1 minimizes p(0), sense=-1 maximizes it."""
     a_eq, b_eq, a_band, band_bounds = _lp_rows(cset)
@@ -454,19 +444,11 @@ def _solve_sense(
     c = np.zeros(size)
     c[0] = float(sense)
     if backend == "highs":
-        if fixed:
-            extra = np.zeros((len(fixed), size))
-            extra_b = np.zeros(len(fixed))
-            for k, (coord, value) in enumerate(fixed):
-                extra[k, coord] = 1.0
-                extra_b[k] = value
-            a_eq = np.vstack([a_eq, extra])
-            b_eq = np.concatenate([b_eq, extra_b])
         status, x = _solve_one_highs(
             c, a_eq, b_eq, a_band, band_bounds, [(0.0, 1.0)] * size
         )
     elif backend == "dense":
-        a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds, fixed)
+        a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds)
         c_std = np.zeros(a.shape[1])
         c_std[:n_vars] = c
         status, x = _simplex_standard(c_std, a, b)
@@ -477,66 +459,33 @@ def _solve_sense(
     return status, x
 
 
-def _lexicographic_refine(
-    cset: ConstraintSet, endpoint: float, backend: str
-) -> np.ndarray:
-    """Lexicographically smallest feasible vector with p(0) = endpoint."""
-    size = 1 << cset.n
-    fixed: list[tuple[int, float]] = [(0, endpoint)]
-    values = [endpoint]
-    for coord in range(1, size - 1):
-        c = np.zeros(size)
-        c[coord] = 1.0
-        a_eq, b_eq, a_band, band_bounds = _lp_rows(cset)
-        if backend == "highs":
-            extra = np.zeros((len(fixed), size))
-            extra_b = np.zeros(len(fixed))
-            for k, (i, v) in enumerate(fixed):
-                extra[k, i] = 1.0
-                extra_b[k] = v
-            status, x = _solve_one_highs(
-                c,
-                np.vstack([a_eq, extra]),
-                np.concatenate([b_eq, extra_b]),
-                a_band,
-                band_bounds,
-                [(0.0, 1.0)] * size,
-            )
-        else:
-            a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds, fixed)
-            c_std = np.zeros(a.shape[1])
-            c_std[:n_vars] = c
-            status, x = _simplex_standard(c_std, a, b)
-        if status != "solved":
-            raise SolverError("lexicographic refinement became infeasible")
-        val = max(0.0, float(x[coord]))
-        fixed.append((coord, val))
-        values.append(val)
-    last = max(0.0, 1.0 - sum(values))
-    probs = np.zeros(size)
-    for coord, v in fixed:
-        probs[coord] = v
-    probs[size - 1] = last
-    return probs
+def _witness(
+    cset: ConstraintSet, x: np.ndarray, endpoint: float, backend: str
+) -> SyndromeDistribution:
+    """The endpoint witness: ``x`` with solver dust below zero clipped away.
+
+    Clipping can push the sum past the tolerance; only then is the vector
+    rescaled to sum 1 and validated again.
+    """
+    probs = np.clip(x, 0.0, None)
+    total = probs.sum()
+    if abs(total - 1.0) > FEASIBILITY_ATOL:
+        probs /= total
+        if not _witness_ok(cset, probs, endpoint):
+            raise SolverError(f"renormalized witness failed validation on {backend}")
+    return SyndromeDistribution(cset.n, probs, atol=FEASIBILITY_ATOL)
 
 
 def solve_endpoints(
     cset: ConstraintSet,
     *,
     solver: str | None = None,
-    tiebreak: str = "solver-default",
     want_witnesses: bool = True,
-    validate: bool = True,
 ) -> EndpointResult:
     """Certified interval [min p(0), max p(0)] over the feasible polytope.
 
-    ``solver`` is "dense", "highs", or "auto" (default, size-based).  With
-    ``tiebreak="lexicographic"`` the witnesses are the lexicographically
-    smallest optimal vectors in ascending syndrome order, at the cost of up
-    to 2^n extra solves each; endpoints are identical either way.
+    ``solver`` is "dense", "highs", or "auto" (default, size-based).
     """
-    if tiebreak not in ("solver-default", "lexicographic"):
-        raise ValueError(f"unknown tiebreak {tiebreak!r}")
     backend = solver or DEFAULT_SOLVER
     if backend == "auto":
         backend = _auto_backend(cset)
@@ -549,29 +498,22 @@ def solve_endpoints(
     last_err: Exception | None = None
     for attempt in chain:
         try:
-            status_lo, x_lo = _solve_sense(cset, +1, attempt, ())
+            status_lo, x_lo = _solve_sense(cset, +1, attempt)
             if status_lo == "infeasible":
                 return EndpointResult(0.0, 0.0, None, None, "infeasible", attempt)
-            status_hi, x_hi = _solve_sense(cset, -1, attempt, ())
+            status_hi, x_hi = _solve_sense(cset, -1, attempt)
             if status_hi == "infeasible":
                 return EndpointResult(0.0, 0.0, None, None, "infeasible", attempt)
             lower = float(x_lo[0])
             upper = float(x_hi[0])
-            if tiebreak == "lexicographic":
-                x_lo = _lexicographic_refine(cset, lower, attempt)
-                x_hi = _lexicographic_refine(cset, upper, attempt)
-            if validate and not (
+            if not (
                 _witness_ok(cset, x_lo, lower) and _witness_ok(cset, x_hi, upper)
             ):
                 raise SolverError(f"witness validation failed on {attempt}")
             if not want_witnesses:
                 return EndpointResult(lower, upper, None, None, "solved", attempt)
-            w_lo = SyndromeDistribution(
-                cset.n, np.clip(x_lo, 0.0, None), atol=FEASIBILITY_ATOL
-            )
-            w_hi = SyndromeDistribution(
-                cset.n, np.clip(x_hi, 0.0, None), atol=FEASIBILITY_ATOL
-            )
+            w_lo = _witness(cset, x_lo, lower, attempt)
+            w_hi = _witness(cset, x_hi, upper, attempt)
             return EndpointResult(lower, upper, w_lo, w_hi, "solved", attempt)
         except SolverError as err:
             last_err = err

@@ -29,7 +29,6 @@ from stabcert.policy import (
 )
 from stabcert.polytope import (
     ConstraintSet,
-    EndpointResult,
     add_band,
     solve_endpoints,
 )
@@ -177,7 +176,6 @@ class RunConfig:
     initial_gauge: str | tuple[str, ...] = "identity"
     seed: int = 0
     solver: str = "auto"
-    tiebreak: str = "solver-default"
     assertions: str = "strict"  # strict | record | off
 
     def __post_init__(self) -> None:
@@ -200,7 +198,6 @@ class RunConfig:
             "initial_gauge": gauge if isinstance(gauge, str) else list(gauge),
             "seed": self.seed,
             "solver": self.solver,
-            "tiebreak": self.tiebreak,
             "assertions": self.assertions,
         }
 
@@ -217,7 +214,6 @@ class RunConfig:
             initial_gauge=gauge if isinstance(gauge, str) else tuple(gauge),
             seed=int(data.get("seed", 0)),
             solver=data.get("solver", "auto"),
-            tiebreak=data.get("tiebreak", "solver-default"),
             assertions=data.get("assertions", "strict"),
         )
 
@@ -397,11 +393,6 @@ class _LoopState:
             new_tokens.append(token)
         return new_tokens, measured
 
-    def solve(self) -> EndpointResult:
-        return solve_endpoints(
-            self.cset, solver=self.cfg.solver, tiebreak=self.cfg.tiebreak
-        )
-
     def check_invariants(self, record: RoundRecord) -> None:
         level = self.cfg.assertions
         if level == "off":
@@ -444,8 +435,13 @@ class _LoopState:
         new_tokens: list[str],
         measured: dict[str, float],
         started: float,
-    ) -> tuple[RoundRecord, EndpointResult]:
-        result = self.solve()
+    ) -> tuple[RoundRecord, DisagreementSpectrum | None]:
+        """Solve the endpoints and record the round.
+
+        Also returns the disagreement spectrum of the endpoint witnesses,
+        which the policies pick the next query from; None when unsolved.
+        """
+        result = solve_endpoints(self.cset, solver=self.cfg.solver)
         m_unq = (1 << self.n) - 1 - len(self.queried)
         if result.status != "solved":
             record = RoundRecord(
@@ -466,7 +462,7 @@ class _LoopState:
                 status=result.status,
                 wall_ms=(time.perf_counter() - started) * 1e3,
             )
-            return record, result
+            return record, None
         d = disagreement_spectrum(result.witness_lo, result.witness_hi)
         queried_labels = [Label(self.n, b) for b in self.queried]
         record = RoundRecord(
@@ -490,8 +486,7 @@ class _LoopState:
         self.check_invariants(record)
         self.prev_lower = max(self.prev_lower, record.lower)
         self.prev_upper = min(self.prev_upper, record.upper)
-        self._last_d = d
-        return record, result
+        return record, d
 
     def stop_reason_for(self, record: RoundRecord, t: int) -> str | None:
         """Width first, then coverage, then the round cap."""
@@ -555,7 +550,7 @@ def _gauge_loop(
     for t in range(1, cfg.t_max + 1):
         started = time.perf_counter()
         new_tokens, measured = state.absorb(gauge.column_bits(), rng)
-        record, _ = state.certify_round(
+        record, d = state.certify_round(
             t, "gauge", gauge.to_tokens(), new_tokens, measured, started
         )
         rounds.append(record)
@@ -566,7 +561,7 @@ def _gauge_loop(
                 t_eps = t
             break
         nxt = cfg.policy.select_gauge(
-            state._last_d, [Label(cfg.n, b) for b in state.queried], rng
+            d, [Label(cfg.n, b) for b in state.queried], rng
         )
         if nxt is None:
             # Full coverage is caught by stop_reason_for, so this cannot
@@ -592,7 +587,7 @@ def run_fine_grained(cfg: RunConfig) -> RunTrace:
     stop = "cap"
     started = time.perf_counter()
     new_tokens, measured = state.absorb(gauge.column_bits(), rng)
-    record, result = state.certify_round(
+    record, d = state.certify_round(
         0, "gauge", gauge.to_tokens(), new_tokens, measured, started
     )
     rounds.append(record)
@@ -605,14 +600,12 @@ def run_fine_grained(cfg: RunConfig) -> RunTrace:
         return _finish(state, rounds, reason, t_eps, meta)
     for t in range(1, cfg.t_max + 1):
         started = time.perf_counter()
-        lab = select_single_label(
-            state._last_d, [Label(cfg.n, b) for b in state.queried]
-        )
+        lab = select_single_label(d, [Label(cfg.n, b) for b in state.queried])
         if lab is None:
             stop = "coverage"
             break
         new_tokens, measured = state.absorb([lab.bits], rng)
-        record, result = state.certify_round(
+        record, d = state.certify_round(
             t, "label", [lab.to_token()], new_tokens, measured, started
         )
         rounds.append(record)

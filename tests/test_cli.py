@@ -17,7 +17,6 @@ RHO_EX_CONFIG = {
     "initial_gauge": "identity",
     "seed": 0,
     "solver": "auto",
-    "tiebreak": "solver-default",
     "assertions": "strict",
 }
 
@@ -35,7 +34,6 @@ ENSEMBLE_CONFIG = {
         "initial_gauge": "identity",
         "seed": 0,
         "solver": "auto",
-        "tiebreak": "solver-default",
         "assertions": "strict",
     },
     "arms": [
@@ -143,6 +141,9 @@ def test_certify_rejects_bad_configs(tmp_path, capsys):
     assert main(["certify", cfg, "--out", out]) == 2
     bad_instance = dict(RHO_EX_CONFIG, instance={"kind": "rho_ex", "flavor": 3})
     cfg = _write(tmp_path / "i.cfg", bad_instance)
+    assert main(["certify", cfg, "--out", out]) == 2
+    removed_key = dict(RHO_EX_CONFIG, tiebreak="solver-default")
+    cfg = _write(tmp_path / "t.cfg", removed_key)
     assert main(["certify", cfg, "--out", out]) == 2
     capsys.readouterr()
 

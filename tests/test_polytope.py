@@ -162,48 +162,10 @@ def test_infeasible_constraint_sets_are_reported():
     assert solve_endpoints(empty).status == "infeasible"
 
 
-def test_tiebreak_lexicographic_keeps_endpoints():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        n = 3
-        _, cset = _random_constraints(n, rng, allow_bands=False)
-        plain = solve_endpoints(cset, tiebreak="solver-default")
-        lex = solve_endpoints(cset, tiebreak="lexicographic")
-        assert lex.lower == pytest.approx(plain.lower, abs=1e-9)
-        assert lex.upper == pytest.approx(plain.upper, abs=1e-9)
-        # The refined witness is lexicographically no larger than the
-        # solver's own pick, coordinate by coordinate.
-        for refined, free in (
-            (lex.witness_lo, plain.witness_lo),
-            (lex.witness_hi, plain.witness_hi),
-        ):
-            for a, b in zip(refined.probs, free.probs):
-                if a < b - 1e-9:
-                    break
-                assert a <= b + 1e-9
-
-
-def test_lexicographic_witness_is_deterministic_across_backends():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        n = 3
-        _, cset = _random_constraints(n, rng, allow_bands=False)
-        dense = solve_endpoints(cset, solver="dense", tiebreak="lexicographic")
-        highs = solve_endpoints(cset, solver="highs", tiebreak="lexicographic")
-        assert np.allclose(
-            dense.witness_lo.probs, highs.witness_lo.probs, atol=1e-7
-        )
-        assert np.allclose(
-            dense.witness_hi.probs, highs.witness_hi.probs, atol=1e-7
-        )
-
-
 def test_solver_argument_validation():
     cset = ConstraintSet.empty(2)
     with pytest.raises(ValueError):
         solve_endpoints(cset, solver="simplex2000")
-    with pytest.raises(ValueError):
-        solve_endpoints(cset, tiebreak="random")
 
 
 def test_constraint_set_json_roundtrip():

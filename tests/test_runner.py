@@ -153,6 +153,25 @@ def test_finite_shot_run_bands_and_accounting():
     assert trace.final_width > 0.0
 
 
+def test_clipped_highs_witness_is_renormalized():
+    # HiGHS returns slightly negative coordinates here; clipping them to
+    # zero pushes the witness sum past the 1e-9 tolerance, which used to
+    # escape as a bare ValueError from SyndromeDistribution.
+    cfg = _cfg(
+        n=10,
+        instance=InstanceSpec("affine", r=4, s0="zero"),
+        policy=PolicyChoice("uniform"),
+        epsilon=0.01,
+        t_max=40,
+        seed=1,
+        solver="highs",
+    )
+    trace = run_adaptive(cfg)
+    assert trace.stop_reason == "width"
+    assert trace.contains_truth()
+    assert trace.violation_count() == 0
+
+
 def test_monotonicity_violation_detection(monkeypatch):
     # Stub the solver so the certified interval widens between rounds;
     # strict mode must raise and record mode must log the violation.
@@ -241,7 +260,6 @@ def test_run_config_json_roundtrip():
         shots=ShotModel.parse("finite:Ns=500,delta=0.1,Tmax=4"),
         initial_gauge=("u1", "u2", "u4", "u8", "u10", "u20"),
         solver="highs",
-        tiebreak="lexicographic",
     )
     again = RunConfig.from_json_dict(cfg.to_json_dict())
     assert again == cfg
