@@ -37,24 +37,6 @@ from stabcert.selftest import run_selftest
 
 CONFIG_VERSION = 1
 
-_RUN_KEYS = {
-    "version",
-    "n",
-    "instance",
-    "policy",
-    "epsilon",
-    "t_max",
-    "shots",
-    "initial_gauge",
-    "seed",
-    "solver",
-    "assertions",
-}
-_INSTANCE_KEYS = {"kind", "r", "s0", "fidelity", "k_errors", "probs"}
-_ENSEMBLE_KEYS = {"version", "trials", "seed", "base", "arms"}
-_ARM_KEYS = {"name", "policy", "shots"}
-
-
 class ConfigError(Exception):
     pass
 
@@ -91,12 +73,6 @@ def _apply_overrides(data: dict, overrides: list[str]) -> dict:
     return data
 
 
-def _check_keys(data: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
 def _load_config(path: str, overrides: list[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,13 +93,11 @@ def _load_config(path: str, overrides: list[str]) -> dict:
 
 
 def _run_config_from(data: dict) -> RunConfig:
-    _check_keys(data, _RUN_KEYS, "config")
     if "seed" not in data:
         raise ConfigError("a seed is required for reproducible runs")
     instance = data.get("instance")
     if not isinstance(instance, dict):
         raise ConfigError("config needs an \"instance\" object")
-    _check_keys(instance, _INSTANCE_KEYS, "instance")
     try:
         return RunConfig.from_json_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
@@ -131,24 +105,20 @@ def _run_config_from(data: dict) -> RunConfig:
 
 
 def _ensemble_config_from(data: dict) -> EnsembleConfig:
-    _check_keys(data, _ENSEMBLE_KEYS, "config")
     if "seed" not in data:
         raise ConfigError("a seed is required for reproducible ensembles")
     base = data.get("base")
     if not isinstance(base, dict):
         raise ConfigError("config needs a \"base\" run object")
-    _check_keys(base, _RUN_KEYS - {"version"}, "base")
     instance = base.get("instance")
     if not isinstance(instance, dict):
         raise ConfigError("base config needs an \"instance\" object")
-    _check_keys(instance, _INSTANCE_KEYS, "instance")
     arms = data.get("arms")
     if not isinstance(arms, list) or not arms:
         raise ConfigError("config needs a nonempty \"arms\" list")
     for arm in arms:
         if not isinstance(arm, dict):
             raise ConfigError("every arm must be an object")
-        _check_keys(arm, _ARM_KEYS, "arm")
     try:
         return EnsembleConfig.from_json_dict(data)
     except (KeyError, ValueError, TypeError) as exc:

@@ -9,18 +9,24 @@ witness distributions that attain it.
 
 Two interchangeable solver backends are provided behind ``solve_endpoints``:
 a built-in dense two-phase simplex (exact pivoting plus a final basis
-refresh; its hot loop lives in :mod:`stabcert.kernels`) and an adapter to
-scipy's HiGHS.  ``auto`` picks the dense solver for small systems and HiGHS
-for large ones.
+refresh; its hot loop lives in :mod:`stabcert.kernels`) and a persistent
+warm-started HiGHS model per run (:class:`HighsModel`).  A run keeps one
+model, adds each new label to it as one row and re-solves both endpoints
+from their previous optimal bases; a call without a model builds a fresh
+one and solves cold.  ``auto`` picks the dense solver for small systems and
+HiGHS for large ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
+# Not called here: perfbench/tracing.py wraps this name for its
+# polytope.highs span and needs it to resolve.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.optimize._highspy import _core as _highs
 
 from stabcert.gf2 import Label
 from stabcert.kernels import fwht_inplace, pivot_update
@@ -29,6 +35,7 @@ from stabcert.syndrome import SyndromeDistribution, character_signs, walsh
 __all__ = [
     "ConstraintSet",
     "EndpointResult",
+    "HighsModel",
     "SolverError",
     "build_exact_constraints",
     "add_band",
@@ -222,37 +229,103 @@ def _lp_rows(cset: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return a_eq, b_eq, a_band, bounds
 
 
-def _solve_one_highs(
-    c: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    a_band: np.ndarray,
-    band_bounds: np.ndarray,
-    var_bounds: Sequence[tuple[float, float]],
-) -> tuple[str, np.ndarray | None]:
-    if len(a_band):
-        a_ub = np.vstack([a_band, -a_band])
-        b_ub = np.concatenate([band_bounds[:, 1], -band_bounds[:, 0]])
-    else:
-        a_ub, b_ub = None, None
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=var_bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status == 2:
-        return "infeasible", None
-    if res.status != 0:
-        raise SolverError(f"HiGHS failed with status {res.status}: {res.message}")
-    return "solved", np.asarray(res.x)
+class HighsModel:
+    """One persistent HiGHS model for the endpoint LPs of a run.
+
+    Columns are the 2^n probabilities, bounded to [0, 1]; row 0 is the
+    normalization.  Each label becomes one row, added once: an equality row
+    for an exact value, a ranged row lo <= a.x <= hi for a band, whose
+    bounds are changed in place when a repeat tightens it.  Both senses
+    share the model: before a solve the cost is set for that sense and its
+    last optimal basis is restored, with the rows added since then entering
+    as basic, so the dual simplex restarts from a dual-feasible basis.  A
+    sense without a saved basis is solved cold.
+
+    This class is the only user of scipy's private ``_highspy`` binding.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._cols = np.arange(1 << n, dtype=np.int32)
+        self._highs = None  # built on first use
+        self._rows: dict[int, tuple[int, float, float]] = {}  # bits -> row, lo, hi
+        self._bases: dict[int, tuple[list, list]] = {}  # sense -> col, row status
+
+    @property
+    def warm(self) -> bool:
+        """True when the next solve restarts from a saved basis."""
+        return bool(self._bases)
+
+    def reset(self) -> None:
+        """Drop the solver state and the saved bases; the next solve is cold."""
+        if self._highs is not None:
+            self._highs.clearSolver()
+        self._bases.clear()
+
+    def _build(self) -> None:
+        h = _highs._Highs()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("primal_feasibility_tolerance", 1e-10)
+        h.setOptionValue("dual_feasibility_tolerance", 1e-10)
+        size = 1 << self.n
+        h.addVars(size, np.zeros(size), np.ones(size))
+        h.addRow(1.0, 1.0, size, self._cols, np.ones(size))
+        self._highs = h
+        self._rows = {}
+        self._bases = {}
+
+    def _sync(self, cset: ConstraintSet) -> None:
+        """Add the rows of new labels and tighten changed bounds."""
+        if cset.n != self.n:
+            raise ValueError(f"model is for n={self.n}, constraints for n={cset.n}")
+        if self._highs is None or not self._rows.keys() <= cset.entries.keys():
+            self._build()
+        h = self._highs
+        size = 1 << self.n
+        for bits in sorted(cset.entries):
+            lo, hi = cset.entries[bits]
+            known = self._rows.get(bits)
+            if known is None:
+                h.addRow(lo, hi, size, self._cols, character_signs(self.n, bits))
+                self._rows[bits] = (h.getNumRow() - 1, lo, hi)
+            elif known[1:] != (lo, hi):
+                h.changeRowBounds(known[0], lo, hi)
+                self._rows[bits] = (known[0], lo, hi)
+
+    def solve(self, cset: ConstraintSet, sense: int) -> tuple[str, np.ndarray | None]:
+        """One LP: sense=+1 minimizes p(0), sense=-1 maximizes it."""
+        self._sync(cset)
+        h = self._highs
+        h.changeColCost(0, float(sense))
+        saved = self._bases.get(sense)
+        if saved is None:
+            h.clearSolver()
+        else:
+            basis = _highs.HighsBasis()
+            basis.col_status = saved[0]
+            pad = h.getNumRow() - len(saved[1])
+            basis.row_status = saved[1] + [_highs.HighsBasisStatus.kBasic] * pad
+            basis.valid = True
+            basis.alien = False
+            if h.setBasis(basis) != _highs.HighsStatus.kOk:
+                raise SolverError("HiGHS rejected the saved basis")
+        run_status = h.run()
+        status = h.getModelStatus()
+        if status in (
+            _highs.HighsModelStatus.kInfeasible,
+            _highs.HighsModelStatus.kUnboundedOrInfeasible,
+        ):
+            self._bases.pop(sense, None)
+            return "infeasible", None
+        if (
+            run_status == _highs.HighsStatus.kError
+            or status != _highs.HighsModelStatus.kOptimal
+        ):
+            self._bases.pop(sense, None)
+            raise SolverError(f"HiGHS ended with {h.modelStatusToString(status)}")
+        basis = h.getBasis()
+        self._bases[sense] = (basis.col_status, basis.row_status)
+        return "solved", np.array(h.getSolution().col_value)
 
 
 def _standard_form(
@@ -435,27 +508,15 @@ def _witness_ok(
     return True
 
 
-def _solve_sense(
-    cset: ConstraintSet, sense: int, backend: str
-) -> tuple[str, np.ndarray | None]:
-    """One LP: sense=+1 minimizes p(0), sense=-1 maximizes it."""
+def _solve_dense(cset: ConstraintSet, sense: int) -> tuple[str, np.ndarray | None]:
+    """One LP on the dense simplex: sense=+1 minimizes p(0), -1 maximizes it."""
     a_eq, b_eq, a_band, band_bounds = _lp_rows(cset)
-    size = 1 << cset.n
-    c = np.zeros(size)
-    c[0] = float(sense)
-    if backend == "highs":
-        status, x = _solve_one_highs(
-            c, a_eq, b_eq, a_band, band_bounds, [(0.0, 1.0)] * size
-        )
-    elif backend == "dense":
-        a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds)
-        c_std = np.zeros(a.shape[1])
-        c_std[:n_vars] = c
-        status, x = _simplex_standard(c_std, a, b)
-        if x is not None:
-            x = x[:size]
-    else:
-        raise ValueError(f"unknown solver backend {backend!r}")
+    a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds)
+    c_std = np.zeros(a.shape[1])
+    c_std[0] = float(sense)
+    status, x = _simplex_standard(c_std, a, b)
+    if x is not None:
+        x = x[: 1 << cset.n]
     return status, x
 
 
@@ -476,15 +537,59 @@ def _witness(
     return SyndromeDistribution(cset.n, probs, atol=FEASIBILITY_ATOL)
 
 
+def _endpoints(
+    cset: ConstraintSet,
+    solve_sense: Callable[[ConstraintSet, int], tuple[str, np.ndarray | None]],
+    backend: str,
+    want_witnesses: bool,
+) -> EndpointResult:
+    """Both endpoint LPs on one backend, with validated witnesses."""
+    status_lo, x_lo = solve_sense(cset, +1)
+    if status_lo == "infeasible":
+        return EndpointResult(0.0, 0.0, None, None, "infeasible", backend)
+    status_hi, x_hi = solve_sense(cset, -1)
+    if status_hi == "infeasible":
+        return EndpointResult(0.0, 0.0, None, None, "infeasible", backend)
+    lower = float(x_lo[0])
+    upper = float(x_hi[0])
+    if not (_witness_ok(cset, x_lo, lower) and _witness_ok(cset, x_hi, upper)):
+        raise SolverError(f"witness validation failed on {backend}")
+    if not want_witnesses:
+        return EndpointResult(lower, upper, None, None, "solved", backend)
+    w_lo = _witness(cset, x_lo, lower, backend)
+    w_hi = _witness(cset, x_hi, upper, backend)
+    return EndpointResult(lower, upper, w_lo, w_hi, "solved", backend)
+
+
+def _endpoints_highs(
+    cset: ConstraintSet, model: HighsModel, want_witnesses: bool
+) -> EndpointResult:
+    """Endpoints on the HiGHS model.  A warm solve that fails validation or
+    reports infeasibility is repeated once cold before it is believed."""
+    if model.warm:
+        try:
+            result = _endpoints(cset, model.solve, "highs", want_witnesses)
+            if result.status == "solved":
+                return result
+        except SolverError:
+            pass
+        model.reset()
+    return _endpoints(cset, model.solve, "highs", want_witnesses)
+
+
 def solve_endpoints(
     cset: ConstraintSet,
     *,
     solver: str | None = None,
     want_witnesses: bool = True,
+    engine: HighsModel | None = None,
 ) -> EndpointResult:
     """Certified interval [min p(0), max p(0)] over the feasible polytope.
 
     ``solver`` is "dense", "highs", or "auto" (default, size-based).
+    ``engine`` is the run's persistent HiGHS model, kept across calls whose
+    constraint sets only grow or tighten; without one, HiGHS solves cold on
+    a fresh model.  If the chosen backend fails, the other one is tried.
     """
     backend = solver or DEFAULT_SOLVER
     if backend == "auto":
@@ -498,23 +603,10 @@ def solve_endpoints(
     last_err: Exception | None = None
     for attempt in chain:
         try:
-            status_lo, x_lo = _solve_sense(cset, +1, attempt)
-            if status_lo == "infeasible":
-                return EndpointResult(0.0, 0.0, None, None, "infeasible", attempt)
-            status_hi, x_hi = _solve_sense(cset, -1, attempt)
-            if status_hi == "infeasible":
-                return EndpointResult(0.0, 0.0, None, None, "infeasible", attempt)
-            lower = float(x_lo[0])
-            upper = float(x_hi[0])
-            if not (
-                _witness_ok(cset, x_lo, lower) and _witness_ok(cset, x_hi, upper)
-            ):
-                raise SolverError(f"witness validation failed on {attempt}")
-            if not want_witnesses:
-                return EndpointResult(lower, upper, None, None, "solved", attempt)
-            w_lo = _witness(cset, x_lo, lower, attempt)
-            w_hi = _witness(cset, x_hi, upper, attempt)
-            return EndpointResult(lower, upper, w_lo, w_hi, "solved", attempt)
+            if attempt == "dense":
+                return _endpoints(cset, _solve_dense, attempt, want_witnesses)
+            model = engine if engine is not None else HighsModel(cset.n)
+            return _endpoints_highs(cset, model, want_witnesses)
         except SolverError as err:
             last_err = err
             continue

@@ -15,7 +15,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from stabcert.policy import (
 )
 from stabcert.polytope import (
     ConstraintSet,
+    HighsModel,
     add_band,
     solve_endpoints,
 )
@@ -65,6 +66,14 @@ _BOUND_SLACK = 1e-7
 
 class InvariantViolation(RuntimeError):
     """A certified-interval invariant failed during a run."""
+
+
+def _check_keys(data: dict, allowed: set[str], where: str) -> None:
+    """Reject keys a config object does not define, so typos do not fall
+    back to defaults."""
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,7 @@ class InstanceSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "InstanceSpec":
+        _check_keys(data, _INSTANCE_KEYS, "instance")
         return cls(
             kind=data["kind"],
             r=data.get("r"),
@@ -161,6 +171,9 @@ class InstanceSpec:
             k_errors=data.get("k_errors"),
             probs=tuple(data["probs"]) if "probs" in data else None,
         )
+
+
+_INSTANCE_KEYS = {f.name for f in fields(InstanceSpec)}
 
 
 @dataclass(frozen=True)
@@ -185,6 +198,19 @@ class RunConfig:
             raise ValueError(f"t_max must be >= 1, got {self.t_max!r}")
         if self.assertions not in ("strict", "record", "off"):
             raise ValueError(f"unknown assertion level {self.assertions!r}")
+        if not self.shots.exact:
+            # The Hoeffding radius is a union bound over n * Tmax labels; a
+            # run that can query more voids the 1 - delta coverage claim.
+            if self.policy.kind == "fine":
+                most = self.n + self.t_max
+            else:
+                most = self.n * self.t_max
+            if self.n * self.shots.t_max < most:
+                raise ValueError(
+                    f"shot model Tmax={self.shots.t_max} covers "
+                    f"{self.n * self.shots.t_max} labels, but a run with "
+                    f"t_max={self.t_max} can query {most}"
+                )
 
     def to_json_dict(self) -> dict:
         gauge = self.initial_gauge
@@ -203,6 +229,9 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
+        """Inverse of ``to_json_dict``; also accepts the config files'
+        ``"version"`` key.  Unknown keys raise ``ValueError``."""
+        _check_keys(data, _RUN_KEYS, "config")
         gauge = data.get("initial_gauge", "identity")
         return cls(
             n=int(data["n"]),
@@ -216,6 +245,9 @@ class RunConfig:
             solver=data.get("solver", "auto"),
             assertions=data.get("assertions", "strict"),
         )
+
+
+_RUN_KEYS = {"version"} | {f.name for f in fields(RunConfig)}
 
 
 @dataclass
@@ -363,6 +395,8 @@ class _LoopState:
         self.p_true = p_true
         self.spectrum: WalshSpectrum = walsh(p_true)
         self.cset = ConstraintSet.empty(cfg.n)
+        # The run's HiGHS model; it builds nothing until HiGHS is first used.
+        self.engine = HighsModel(cfg.n)
         self.queried: set[int] = set()
         self.eta = cfg.shots.eta(cfg.n)
         self.total_shots = 0
@@ -441,7 +475,9 @@ class _LoopState:
         Also returns the disagreement spectrum of the endpoint witnesses,
         which the policies pick the next query from; None when unsolved.
         """
-        result = solve_endpoints(self.cset, solver=self.cfg.solver)
+        result = solve_endpoints(
+            self.cset, solver=self.cfg.solver, engine=self.engine
+        )
         m_unq = (1 << self.n) - 1 - len(self.queried)
         if result.status != "solved":
             record = RoundRecord(
@@ -631,6 +667,7 @@ class ArmSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArmSpec":
+        _check_keys(data, {"name", "policy", "shots"}, "arm")
         return cls(
             name=data["name"],
             policy=PolicyChoice.parse(data["policy"]),
@@ -655,6 +692,8 @@ class EnsembleConfig:
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate arm names: {names}")
+        for arm_index in range(len(self.arms)):
+            self.run_config(0, arm_index)  # each arm's config must be valid
 
     def run_config(self, trial: int, arm_index: int) -> RunConfig:
         """The fully resolved RunConfig for one (trial, arm) task.
@@ -682,6 +721,10 @@ class EnsembleConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EnsembleConfig":
+        """Inverse of ``to_json_dict``; also accepts the config files'
+        ``"version"`` key.  Unknown keys raise ``ValueError``."""
+        _check_keys(data, {"version", "trials", "base", "arms", "seed"}, "config")
+        _check_keys(data["base"], _RUN_KEYS - {"version"}, "base")
         return cls(
             trials=int(data["trials"]),
             base=RunConfig.from_json_dict(data["base"]),

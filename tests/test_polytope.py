@@ -1,16 +1,22 @@
 """Unit tests for the feasible-polytope endpoint solver."""
 
+import json
+
 import numpy as np
 import pytest
 
+from stabcert import polytope
 from stabcert.gf2 import Label, sample_uniform_gauge
+from stabcert.policy import PolicyChoice
 from stabcert.polytope import (
     ConstraintSet,
+    HighsModel,
     SolverError,
     add_band,
     build_exact_constraints,
     solve_endpoints,
 )
+from stabcert.runner import InstanceSpec, RunConfig, run_adaptive
 from stabcert.selftest import brute_force_endpoints, _random_constraints
 from stabcert.syndrome import (
     AffineSupportSpec,
@@ -184,3 +190,152 @@ def test_endpoint_result_serialization():
     assert out["U"] == pytest.approx(result.upper)
     assert out["width"] == pytest.approx(result.width)
     assert len(out["witnesses"]["lo"]["probs"]) == 4
+
+
+def _label_steps(n, rng, with_bands):
+    """Constraint sets a run could grow through: one new label per step,
+    exact or a band around the truth, with some bands tightened by a repeat."""
+    spectrum = walsh(sample_dirichlet_uniform(n, rng))
+    order = [int(b) for b in rng.permutation((1 << n) - 1) + 1]
+    cset = ConstraintSet.empty(n)
+    steps = []
+    for bits in order[: int(rng.integers(1, len(order) + 1))]:
+        mu = spectrum.value(bits)
+        if with_bands and rng.random() < 0.6:
+            eta = float(rng.uniform(0.02, 0.4))
+            cset = add_band(cset, bits, mu + float(rng.uniform(-eta, eta)), eta)
+            steps.append(cset)
+            if rng.random() < 0.5:
+                eta /= 2
+                cset = add_band(cset, bits, mu + float(rng.uniform(-eta, eta)), eta)
+                steps.append(cset)
+        else:
+            cset = cset.with_exact(bits, mu)
+            steps.append(cset)
+    return steps
+
+
+def test_warm_engine_matches_fresh_solves_and_the_oracle():
+    rng = np.random.default_rng(7)
+    solves = 0
+    for case in range(24):
+        n = int(rng.integers(2, 6))
+        # At n = 4 and 5 every other case is exact-only.
+        with_bands = n <= 3 or case % 2 == 0
+        engine = HighsModel(n)
+        for cset in _label_steps(n, rng, with_bands):
+            warm = solve_endpoints(cset, solver="highs", engine=engine)
+            cold = solve_endpoints(cset, solver="highs")
+            assert warm.status == cold.status == "solved"
+            assert warm.solver == "highs"
+            assert warm.lower == pytest.approx(cold.lower, abs=1e-9)
+            assert warm.upper == pytest.approx(cold.upper, abs=1e-9)
+            # Enumerating bases of the slack-augmented system is affordable
+            # for bands up to n = 3 and for exact rows up to n = 4.
+            if n <= 3 or (n == 4 and not with_bands):
+                oracle = brute_force_endpoints(cset)
+                assert warm.lower == pytest.approx(oracle[0], abs=1e-9)
+                assert warm.upper == pytest.approx(oracle[1], abs=1e-9)
+            solves += 1
+        assert engine.warm
+    assert solves > 100
+
+
+def test_tightened_band_changes_the_row_in_place():
+    rng = np.random.default_rng(8)
+    spec = walsh(sample_dirichlet_uniform(3, rng))
+    cset = ConstraintSet.empty(3)
+    for bits in range(1, 8):
+        cset = add_band(cset, bits, spec.value(bits), 0.3)
+    engine = HighsModel(3)
+    last = solve_endpoints(cset, solver="highs", engine=engine)
+    rows = engine._highs.getNumRow()
+    for eta in (0.1, 0.0):
+        cset = add_band(cset, 5, spec.value(5), eta)
+        warm = solve_endpoints(cset, solver="highs", engine=engine)
+        cold = solve_endpoints(cset, solver="highs")
+        assert engine._highs.getNumRow() == rows
+        assert warm.solver == "highs"
+        assert warm.lower == pytest.approx(cold.lower, abs=1e-9)
+        assert warm.upper == pytest.approx(cold.upper, abs=1e-9)
+        assert warm.width < last.width - 1e-6  # the tighter row is active
+        last = warm
+    assert cset.kind(5) == "exact"
+
+
+def test_warm_engine_reports_infeasible_and_empty_bands():
+    engine = HighsModel(2)
+    base = ConstraintSet(2, {1: (1.0, 1.0), 2: (1.0, 1.0)})
+    assert solve_endpoints(base, solver="highs", engine=engine).status == "solved"
+    clash = base.with_exact(3, -1.0)
+    assert solve_endpoints(clash, solver="highs", engine=engine).status == "infeasible"
+    empty = add_band(add_band(base, 3, 0.8, 0.05), 3, 0.2, 0.05)
+    assert solve_endpoints(empty, solver="highs", engine=engine).status == "infeasible"
+    # A set that drops a row the model holds is a new problem: rebuilt.
+    again = solve_endpoints(base, solver="highs", engine=engine)
+    assert again.status == "solved"
+    assert again.lower == pytest.approx(1.0, abs=1e-9)
+
+
+def _fail_witness_checks(monkeypatch, failing_calls):
+    real = polytope._witness_ok
+    calls = []
+
+    def flaky(cset, probs, endpoint):
+        calls.append(endpoint)
+        if len(calls) in failing_calls:
+            return False
+        return real(cset, probs, endpoint)
+
+    monkeypatch.setattr(polytope, "_witness_ok", flaky)
+
+
+def _warm_engine_and_next_set():
+    rng = np.random.default_rng(9)
+    p = sample_dirichlet_uniform(5, rng)
+    cset = build_exact_constraints(p, [Label(5, b) for b in (1, 2, 4, 8, 16)])
+    engine = HighsModel(5)
+    solve_endpoints(cset, solver="highs", engine=engine)
+    assert engine.warm
+    nxt = build_exact_constraints(p, [Label(5, b) for b in (1, 2, 4, 8, 16, 3, 7)])
+    resets = []
+    real_reset = engine.reset
+    engine.reset = lambda: (resets.append(1), real_reset())
+    return engine, nxt, resets
+
+
+def test_failed_warm_witness_is_resolved_cold(monkeypatch):
+    engine, cset, resets = _warm_engine_and_next_set()
+    fresh = solve_endpoints(cset, solver="highs")
+    _fail_witness_checks(monkeypatch, {1})
+    result = solve_endpoints(cset, solver="highs", engine=engine)
+    assert resets == [1]
+    assert result.solver == "highs"
+    assert result.lower == pytest.approx(fresh.lower, abs=1e-9)
+    assert result.upper == pytest.approx(fresh.upper, abs=1e-9)
+
+
+def test_failed_cold_resolve_falls_back_to_dense(monkeypatch):
+    engine, cset, resets = _warm_engine_and_next_set()
+    fresh = solve_endpoints(cset, solver="highs")
+    _fail_witness_checks(monkeypatch, {1, 2})
+    result = solve_endpoints(cset, solver="highs", engine=engine)
+    assert resets == [1]
+    assert result.solver == "dense"
+    assert result.lower == pytest.approx(fresh.lower, abs=1e-9)
+    assert result.upper == pytest.approx(fresh.upper, abs=1e-9)
+
+
+def test_highs_runs_are_byte_identical():
+    cfg = RunConfig(
+        n=6,
+        instance=InstanceSpec(kind="dirichlet"),
+        policy=PolicyChoice("witness"),
+        epsilon=0.01,
+        t_max=8,
+        seed=5,
+        solver="highs",
+    )
+    first = json.dumps(run_adaptive(cfg).to_json_dict(), sort_keys=True)
+    second = json.dumps(run_adaptive(cfg).to_json_dict(), sort_keys=True)
+    assert first == second

@@ -1,5 +1,7 @@
 """Unit tests for the adaptive loops and the ensemble harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,7 @@ def test_run_config_json_roundtrip():
         instance=InstanceSpec(kind="affine", r=3, s0="in_support"),
         policy=PolicyChoice("mixed", 0.25),
         epsilon=0.01,
+        t_max=4,
         shots=ShotModel.parse("finite:Ns=500,delta=0.1,Tmax=4"),
         initial_gauge=("u1", "u2", "u4", "u8", "u10", "u20"),
         solver="highs",
@@ -278,6 +281,68 @@ def test_run_config_validation():
         InstanceSpec(kind="sparse", fidelity=0.5)  # needs k_errors
     with pytest.raises(ValueError):
         InstanceSpec(kind="fourier")
+
+
+def test_config_parsers_reject_unknown_keys():
+    data = _cfg().to_json_dict()
+    assert RunConfig.from_json_dict(dict(data, version=1)) == _cfg()
+    with pytest.raises(ValueError, match="solvr"):
+        RunConfig.from_json_dict(dict(data, solvr="dense"))
+    with pytest.raises(ValueError, match="tiebreak"):
+        RunConfig.from_json_dict(dict(data, tiebreak="lexicographic"))
+    with pytest.raises(ValueError, match="radius"):
+        RunConfig.from_json_dict(
+            dict(data, instance={"kind": "rho_ex", "radius": 1})
+        )
+    ens = _small_ensemble().to_json_dict()
+    assert EnsembleConfig.from_json_dict(dict(ens, version=1)) == _small_ensemble()
+    with pytest.raises(ValueError, match="trails"):
+        EnsembleConfig.from_json_dict(dict(ens, trails=3))
+    with pytest.raises(ValueError, match="version"):
+        EnsembleConfig.from_json_dict(dict(ens, base=dict(ens["base"], version=1)))
+    with pytest.raises(ValueError, match="weight"):
+        EnsembleConfig.from_json_dict(
+            dict(ens, arms=[dict(ens["arms"][0], weight=2)])
+        )
+
+
+def test_shipped_configs_load():
+    from importlib.resources import files
+
+    for cfg in files("stabcert").joinpath("configs").iterdir():
+        if cfg.name.endswith(".cfg"):
+            ens = EnsembleConfig.from_json_dict(json.loads(cfg.read_text()))
+            assert ens.trials >= 1
+
+
+def test_shot_budget_must_cover_the_labels_a_run_can_query():
+    shots = ShotModel.parse("finite:Ns=1000,delta=0.05,Tmax=8")
+    _cfg(n=8, instance=InstanceSpec(kind="dirichlet"), t_max=8, shots=shots)
+    with pytest.raises(ValueError, match="Tmax"):
+        _cfg(n=8, instance=InstanceSpec(kind="dirichlet"), t_max=9, shots=shots)
+    # A fine-grained run queries the initial gauge plus one label per round.
+    _cfg(
+        n=8,
+        instance=InstanceSpec(kind="dirichlet"),
+        policy=PolicyChoice("fine"),
+        t_max=56,
+        shots=shots,
+    )
+    with pytest.raises(ValueError, match="Tmax"):
+        _cfg(
+            n=8,
+            instance=InstanceSpec(kind="dirichlet"),
+            policy=PolicyChoice("fine"),
+            t_max=57,
+            shots=shots,
+        )
+    # Ensemble arms are checked when the ensemble is built.
+    with pytest.raises(ValueError, match="Tmax"):
+        EnsembleConfig(
+            trials=1,
+            base=_cfg(t_max=9),
+            arms=(ArmSpec("few", PolicyChoice("witness"), shots),),
+        )
 
 
 def test_explicit_instance_and_custom_initial_gauge():
