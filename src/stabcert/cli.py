@@ -2,8 +2,8 @@
 
 Subcommands:
   one-gauge  closed-form certificate from generator expectations
-  certify    one adaptive certification run from a config file
-  fine       like certify, for single-label (fine-grained) schedules
+  certify    one adaptive certification run from a config file (any policy,
+             including the single-label "fine" schedule)
   ensemble   Monte-Carlo policy comparison from a config file
   selftest   brute-force oracle suites at small n
 
@@ -31,7 +31,6 @@ from stabcert.runner import (
     RunTrace,
     run_adaptive,
     run_ensemble,
-    run_fine_grained,
 )
 from stabcert.selftest import run_selftest
 
@@ -233,20 +232,13 @@ def cmd_one_gauge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(args: argparse.Namespace, fine: bool) -> int:
+def cmd_certify(args: argparse.Namespace) -> int:
     try:
         data = _load_config(args.config, args.set or [])
         cfg = _run_config_from(data)
     except ConfigError as exc:
         return _fail(str(exc), 2)
-    if fine != (cfg.policy.kind == "fine"):
-        want = "fine" if fine else "a gauge-level"
-        return _fail(
-            f"policy {cfg.policy} does not match this subcommand "
-            f"(expected {want} policy)",
-            2,
-        )
-    trace = run_fine_grained(cfg) if fine else run_adaptive(cfg)
+    trace = run_adaptive(cfg)
     os.makedirs(args.out, exist_ok=True)
     _write_echo(args.out, data)
     _write_json(
@@ -262,14 +254,6 @@ def _run_one(args: argparse.Namespace, fine: bool) -> int:
     if trace.stop_reason == "infeasible":
         return 3
     return 0
-
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    return _run_one(args, fine=False)
-
-
-def cmd_fine(args: argparse.Namespace) -> int:
-    return _run_one(args, fine=True)
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
@@ -322,25 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="JSON file with {\"mu\": [...], \"m\"?, \"delta\"?}; - for stdin")
     p.set_defaults(fn=cmd_one_gauge)
 
-    for name, helptext, fn in (
-        ("certify", "run one adaptive gauge-level certification", cmd_certify),
-        ("fine", "run one fine-grained single-label certification", cmd_fine),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("config", help="JSON run config (version 1)")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config field (dotted path, JSON value)",
-        )
-        p.add_argument(
-            "--timings",
-            action="store_true",
-            help="include wall-clock timings in trace.json (breaks bit-identical reruns)",
-        )
-        p.set_defaults(fn=fn)
+    p = sub.add_parser(
+        "certify", help="run one adaptive certification (any policy, including fine)"
+    )
+    p.add_argument("config", help="JSON run config (version 1)")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a config field (dotted path, JSON value)",
+    )
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="include wall-clock timings in trace.json (breaks bit-identical reruns)",
+    )
+    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("ensemble", help="run a Monte-Carlo policy comparison")
     p.add_argument("config", help="JSON ensemble config (version 1)")

@@ -9,7 +9,7 @@ columns.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -276,35 +276,31 @@ def sample_uniform_gauge(n: int, rng: np.random.Generator) -> Gauge:
 
 def greedy_max_weight_basis(
     n: int,
-    weights: Mapping[Label, float] | np.ndarray,
-    queried: Iterable[Label] = (),
+    weights: np.ndarray,
+    queried: np.ndarray | None = None,
 ) -> set[Label]:
     """Maximum-weight basis of F_2^n under nonnegative label weights.
 
-    Scans labels in nonincreasing weight order, breaking ties in favor of
-    labels outside ``queried`` and then by ascending integer encoding, and
-    keeps each label that is independent of those already kept.  Greedy is
-    exact here because independent sets of labels form a matroid.
+    ``weights`` and the optional boolean ``queried`` mask are indexed by
+    label encoding (entry 0, the zero label, is ignored).  Scans labels in
+    nonincreasing weight order, breaking ties in favor of unqueried labels
+    and then by ascending integer encoding, and keeps each label that is
+    independent of those already kept.  Greedy is exact here because
+    independent sets of labels form a matroid.
     """
     _check_n(n)
-    if isinstance(weights, np.ndarray):
-        if weights.shape != (1 << n,):
-            raise ValueError(f"weight array must have length {1 << n}")
-        table = {b: float(weights[b]) for b in range(1, 1 << n)}
-    else:
-        table = {lab.bits: float(w) for lab, w in weights.items()}
-        if len(table) < (1 << n) - 1:
-            raise ValueError("weights must cover all nonzero labels")
-    if any(w < 0 for w in table.values()):
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (1 << n,):
+        raise ValueError(f"weight array must have length {1 << n}")
+    if (weights[1:] < 0).any():
         raise ValueError("weights must be nonnegative")
-    queried_bits = {lab.bits for lab in queried}
-    order = sorted(
-        range(1, 1 << n),
-        key=lambda b: (-table[b], b in queried_bits, b),
-    )
+    if queried is None:
+        queried = np.zeros(1 << n, dtype=bool)
+    bits = np.arange(1, 1 << n)
+    order = bits[np.lexsort((bits, queried[1:], -weights[1:]))]
     basis = XorBasis()
     chosen: set[Label] = set()
-    for b in order:
+    for b in order.tolist():
         if basis.add(b):
             chosen.add(Label(n, b))
             if len(chosen) == n:

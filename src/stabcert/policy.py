@@ -5,12 +5,14 @@ endpoint witnesses disagree on its Walsh coefficient, then queries the
 maximum-weight basis under those scores (a matroid greedy problem).  The
 uniform policy ignores history; the mixed policy flips a coin between the
 two; the fine-grained rule queries the single best label.
+
+Every rule reads the run's queried labels as one boolean mask of length
+2^n, indexed by label encoding; entry 0 (the zero label) is ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -50,18 +52,18 @@ class DisagreementSpectrum:
         bits = u.bits if isinstance(u, Label) else u
         return float(self.values[bits])
 
-    def total_unqueried(self, queried: Iterable[Label]) -> float:
-        """D = sum of d(u) over unqueried nonzero labels."""
-        skip = {lab.bits for lab in queried}
-        return float(
-            sum(self.values[b] for b in range(1, 1 << self.n) if b not in skip)
-        )
+    def total_unqueried(self, queried: np.ndarray) -> float:
+        """D = sum of d(u) over unqueried nonzero labels.
 
-    def max_unqueried(self, queried: Iterable[Label]) -> float:
+        Summed one term at a time in ascending encoding, which fixes the
+        rounding, so traces do not depend on numpy's pairwise summation.
+        """
+        return float(sum(self.values[1:][~queried[1:]].tolist()))
+
+    def max_unqueried(self, queried: np.ndarray) -> float:
         """Delta = max of d(u) over unqueried nonzero labels (0 if none)."""
-        skip = {lab.bits for lab in queried}
-        vals = [self.values[b] for b in range(1, 1 << self.n) if b not in skip]
-        return float(max(vals)) if vals else 0.0
+        vals = self.values[1:][~queried[1:]]
+        return float(vals.max()) if vals.size else 0.0
 
 
 def disagreement_spectrum(
@@ -76,12 +78,8 @@ def disagreement_spectrum(
     return DisagreementSpectrum(p_lo.n, buf)
 
 
-def _queried_bits(queried: Iterable[Label]) -> set[int]:
-    return {lab.bits for lab in queried}
-
-
 def select_witness_gauge(
-    d: DisagreementSpectrum, queried: Iterable[Label]
+    d: DisagreementSpectrum, queried: np.ndarray
 ) -> Gauge | None:
     """Maximum-disagreement gauge; None signals full coverage (terminal).
 
@@ -96,30 +94,23 @@ def select_witness_gauge(
     unqueried ones.  With exact constraints this is a no-op.
     """
     n = d.n
-    skip = _queried_bits(queried)
-    if len(skip) >= (1 << n) - 1:
+    if queried[1:].all():
         return None
-    weights = d.values.copy()
-    for b in skip:
-        weights[b] = 0.0
-    basis = greedy_max_weight_basis(
-        n, weights, [Label(n, b) for b in skip]
-    )
+    weights = np.where(queried, 0.0, d.values)
+    basis = greedy_max_weight_basis(n, weights, queried)
     cols = tuple(sorted(basis, key=lambda lab: lab.bits))
     return Gauge(n, cols)
 
 
-def select_uniform_gauge(
-    n: int, queried: Iterable[Label], rng: np.random.Generator
-) -> Gauge:
-    """History-independent uniform gauge (``queried`` intentionally unused)."""
+def select_uniform_gauge(n: int, rng: np.random.Generator) -> Gauge:
+    """History-independent uniform gauge."""
     return sample_uniform_gauge(n, rng)
 
 
 def select_mixed(
     gamma: float,
     d: DisagreementSpectrum,
-    queried: Iterable[Label],
+    queried: np.ndarray,
     rng: np.random.Generator,
 ) -> Gauge | None:
     """Uniform gauge with probability gamma, else the witness gauge.
@@ -131,28 +122,21 @@ def select_mixed(
         raise ValueError(f"gamma must be in [0,1], got {gamma!r}")
     take_uniform = rng.random() < gamma
     if take_uniform:
-        return select_uniform_gauge(d.n, queried, rng)
+        return select_uniform_gauge(d.n, rng)
     return select_witness_gauge(d, queried)
 
 
 def select_single_label(
-    d: DisagreementSpectrum, queried: Iterable[Label]
+    d: DisagreementSpectrum, queried: np.ndarray
 ) -> Label | None:
     """Unqueried label with the largest disagreement; None at full coverage.
 
     Ties (including the all-zero spectrum) break by ascending encoding.
     """
-    skip = _queried_bits(queried)
-    best: tuple[float, int] | None = None
-    for b in range(1, 1 << d.n):
-        if b in skip:
-            continue
-        key = (-float(d.values[b]), b)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    free = np.flatnonzero(~queried[1:]) + 1
+    if free.size == 0:
         return None
-    return Label(d.n, best[1])
+    return Label(d.n, int(free[np.argmax(d.values[free])]))
 
 
 @dataclass(frozen=True)
@@ -187,13 +171,13 @@ class PolicyChoice:
     def select_gauge(
         self,
         d: DisagreementSpectrum,
-        queried: Iterable[Label],
+        queried: np.ndarray,
         rng: np.random.Generator,
     ) -> Gauge | None:
         if self.kind == "witness":
             return select_witness_gauge(d, queried)
         if self.kind == "uniform":
-            return select_uniform_gauge(d.n, queried, rng)
+            return select_uniform_gauge(d.n, rng)
         if self.kind == "mixed":
             return select_mixed(self.gamma, d, queried, rng)
         raise ValueError(f"policy {self.kind!r} does not select gauges")

@@ -96,12 +96,20 @@ class ConstraintSet:
         return "exact" if lo == hi else "band"
 
     def _intersected(self, bits: int, lo: float, hi: float) -> "ConstraintSet":
+        """A copy with one more (clipped) constraint.  Only the new entry is
+        validated; the others were checked when they were added."""
+        if not 1 <= bits < (1 << self.n):
+            raise ValueError(f"constraint label {bits!r} out of range or zero")
+        bits = int(bits)
         new = dict(self.entries)
         if bits in new:
             old_lo, old_hi = new[bits]
             lo, hi = max(old_lo, lo), min(old_hi, hi)
         new[bits] = (lo, hi)
-        return ConstraintSet(self.n, new)
+        out = object.__new__(ConstraintSet)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "entries", new)
+        return out
 
     def with_exact(self, u: int | Label, mu: float) -> "ConstraintSet":
         bits = u.bits if isinstance(u, Label) else u

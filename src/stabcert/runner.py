@@ -1,12 +1,15 @@
-"""Adaptive certification loops, per-round invariant checks, and ensembles.
+"""The adaptive certification loop, per-round invariant checks, and ensembles.
 
-``run_adaptive`` implements the gauge-level loop: query a gauge, add its
-Walsh constraints, solve the endpoint LPs, stop when the certified width
-reaches the target, otherwise pick the next gauge by the configured policy.
-``run_fine_grained`` is the single-label variant that starts from one full
-gauge and then queries one label per round.  ``run_ensemble`` runs paired
-Monte-Carlo trials over several policy/shot-model arms and aggregates the
-per-round and stopping statistics used by the benchmark campaigns.
+``run_adaptive`` is the one loop for every policy: each round queries one
+unit (a gauge's n labels, or a single label), adds its Walsh constraints,
+solves the two endpoint LPs, stops when the certified width reaches the
+target, and otherwise picks the next unit from the endpoint witnesses.
+Gauge policies (witness, uniform, mixed) query the initial gauge in round 1
+and one gauge per round after it.  The ``fine`` policy queries the initial
+gauge in round 0 and one label per round after it, so its round cap counts
+labels.  ``run_ensemble`` runs paired Monte-Carlo trials over several
+policy/shot-model arms and aggregates the per-round and stopping statistics
+used by the benchmark campaigns.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from stabcert.gf2 import Gauge, Label, XorBasis, in_span, nullspace, rank
+from stabcert.gf2 import Gauge, Label, in_span, rank
 from stabcert.policy import (
     DisagreementSpectrum,
     PolicyChoice,
@@ -373,7 +376,7 @@ class _AffineMonitor:
     def _coset_key(self, bits: int) -> tuple[int, ...]:
         return tuple((bits & v).bit_count() & 1 for v in self.v_bits)
 
-    def structurally_done(self, queried_bits: set[int]) -> bool:
+    def structurally_done(self, queried_bits: Iterable[int]) -> bool:
         perp_members = [
             b for b in queried_bits if all(x == 0 for x in self._coset_key(b))
         ]
@@ -387,17 +390,20 @@ class _AffineMonitor:
 
 
 class _LoopState:
-    """Shared bookkeeping for both adaptive loops."""
+    """Bookkeeping of one adaptive run.
+
+    The queried labels are the keys of ``cset.entries``; ``queried`` holds
+    the same set as a boolean mask over all 2^n encodings for the policies.
+    """
 
     def __init__(self, cfg: RunConfig, p_true: SyndromeDistribution, meta: dict):
         self.cfg = cfg
         self.n = cfg.n
-        self.p_true = p_true
         self.spectrum: WalshSpectrum = walsh(p_true)
         self.cset = ConstraintSet.empty(cfg.n)
         # The run's HiGHS model; it builds nothing until HiGHS is first used.
         self.engine = HighsModel(cfg.n)
-        self.queried: set[int] = set()
+        self.queried = np.zeros(1 << cfg.n, dtype=bool)
         self.eta = cfg.shots.eta(cfg.n)
         self.total_shots = 0
         self.prev_lower = 0.0
@@ -411,7 +417,7 @@ class _LoopState:
         new_tokens: list[str] = []
         measured: dict[str, float] = {}
         for bits in labels:
-            if bits in self.queried:
+            if self.queried[bits]:
                 continue
             token = Label(self.n, bits).to_token()
             mu_true = self.spectrum.value(bits)
@@ -423,7 +429,7 @@ class _LoopState:
                 self.cset = add_band(self.cset, bits, mu_hat, self.eta)
                 measured[token] = mu_hat
                 self.total_shots += self.cfg.shots.n_shots
-            self.queried.add(bits)
+            self.queried[bits] = True
             new_tokens.append(token)
         return new_tokens, measured
 
@@ -451,7 +457,8 @@ class _LoopState:
                 problems.append(
                     f"disagreement-mass bound violated: W={record.width} > {mass_cap}"
                 )
-        if self.monitor is not None and self.monitor.structurally_done(self.queried):
+        monitor = self.monitor
+        if monitor is not None and monitor.structurally_done(self.cset.entries):
             if record.width > 1e-9 + _WIDTH_SLACK:
                 problems.append(
                     f"affine structural coverage reached but width={record.width}"
@@ -478,50 +485,32 @@ class _LoopState:
         result = solve_endpoints(
             self.cset, solver=self.cfg.solver, engine=self.engine
         )
-        m_unq = (1 << self.n) - 1 - len(self.queried)
-        if result.status != "solved":
-            record = RoundRecord(
-                t=t,
-                kind=kind,
-                queried=queried_tokens,
-                new_labels=new_tokens,
-                measured=measured,
-                lower=math.nan,
-                upper=math.nan,
-                width=math.nan,
-                m_unqueried=m_unq,
-                d_total=math.nan,
-                d_max=math.nan,
-                shots_spent=self.cfg.shots.n_shots * len(new_tokens)
-                if not self.cfg.shots.exact
-                else 0,
-                status=result.status,
-                wall_ms=(time.perf_counter() - started) * 1e3,
-            )
-            return record, None
-        d = disagreement_spectrum(result.witness_lo, result.witness_hi)
-        queried_labels = [Label(self.n, b) for b in self.queried]
+        solved = result.status == "solved"
+        d = None
+        if solved:
+            d = disagreement_spectrum(result.witness_lo, result.witness_hi)
         record = RoundRecord(
             t=t,
             kind=kind,
             queried=queried_tokens,
             new_labels=new_tokens,
             measured=measured,
-            lower=result.lower,
-            upper=result.upper,
-            width=result.width,
-            m_unqueried=m_unq,
-            d_total=d.total_unqueried(queried_labels),
-            d_max=d.max_unqueried(queried_labels),
-            shots_spent=self.cfg.shots.n_shots * len(new_tokens)
-            if not self.cfg.shots.exact
-            else 0,
-            status="solved",
+            lower=result.lower if solved else math.nan,
+            upper=result.upper if solved else math.nan,
+            width=result.width if solved else math.nan,
+            m_unqueried=(1 << self.n) - 1 - len(self.cset),
+            d_total=d.total_unqueried(self.queried) if solved else math.nan,
+            d_max=d.max_unqueried(self.queried) if solved else math.nan,
+            shots_spent=0
+            if self.cfg.shots.exact
+            else self.cfg.shots.n_shots * len(new_tokens),
+            status=result.status,
             wall_ms=(time.perf_counter() - started) * 1e3,
         )
-        self.check_invariants(record)
-        self.prev_lower = max(self.prev_lower, record.lower)
-        self.prev_upper = min(self.prev_upper, record.upper)
+        if solved:
+            self.check_invariants(record)
+            self.prev_lower = max(self.prev_lower, record.lower)
+            self.prev_upper = min(self.prev_upper, record.upper)
         return record, d
 
     def stop_reason_for(self, record: RoundRecord, t: int) -> str | None:
@@ -530,34 +519,53 @@ class _LoopState:
             return "infeasible"
         if record.width <= self.cfg.epsilon + _WIDTH_SLACK:
             return "width"
-        if len(self.queried) >= (1 << self.n) - 1:
+        if len(self.cset) >= (1 << self.n) - 1:
             return "coverage"
         if t >= self.cfg.t_max:
             return "cap"
         return None
 
 
-def _prepare(
+def _run(
     cfg: RunConfig,
-    instance_seq: np.random.SeedSequence | None = None,
-    run_seq: np.random.SeedSequence | None = None,
-) -> tuple[_LoopState, Gauge, np.random.Generator, dict]:
-    if instance_seq is None or run_seq is None:
-        instance_seq, run_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    instance_seq: np.random.SeedSequence,
+    run_seq: np.random.SeedSequence,
+) -> RunTrace:
+    """The adaptive loop: one round per query unit, a Gauge or a Label."""
     p_true, meta = cfg.instance.realize(cfg.n, np.random.default_rng(instance_seq))
     rng = np.random.default_rng(run_seq)
     state = _LoopState(cfg, p_true, meta)
-    gauge = _resolve_initial_gauge(cfg, rng)
-    return state, gauge, rng, meta
-
-
-def _finish(
-    state: _LoopState,
-    rounds: list[RoundRecord],
-    stop_reason: str,
-    t_eps: int | None,
-    meta: dict,
-) -> RunTrace:
+    unit: Gauge | Label | None = _resolve_initial_gauge(cfg, rng)
+    fine = cfg.policy.kind == "fine"
+    # Round 0 of a fine run is its initial gauge; its cap counts labels.
+    t = 0 if fine else 1
+    rounds: list[RoundRecord] = []
+    while True:
+        started = time.perf_counter()
+        cols = unit.columns if isinstance(unit, Gauge) else (unit,)
+        new_tokens, measured = state.absorb([c.bits for c in cols], rng)
+        record, d = state.certify_round(
+            t,
+            "gauge" if isinstance(unit, Gauge) else "label",
+            [c.to_token() for c in cols],
+            new_tokens,
+            measured,
+            started,
+        )
+        rounds.append(record)
+        stop = state.stop_reason_for(record, t)
+        if stop is not None:
+            break
+        t += 1
+        if fine:
+            unit = select_single_label(d, state.queried)
+        else:
+            unit = cfg.policy.select_gauge(d, state.queried, rng)
+        if unit is None:
+            # Full coverage is caught by stop_reason_for, so this cannot
+            # trigger; kept as a hard guard for policy contract changes.
+            stop = "coverage"
+            break
     meta_out = {}
     if meta.get("v_basis") is not None:
         meta_out = {
@@ -565,93 +573,26 @@ def _finish(
             "s0": meta["s0"].to_token(),
         }
     return RunTrace(
-        config=state.cfg,
-        true_fidelity=state.p_true.fidelity(),
+        config=cfg,
+        true_fidelity=p_true.fidelity(),
         rounds=rounds,
-        stop_reason=stop_reason,
-        t_eps=t_eps,
+        stop_reason=stop,
+        t_eps=t if stop == "width" else None,
         eta=state.eta,
         total_shots=state.total_shots,
         instance_meta=meta_out,
     )
 
 
-def _gauge_loop(
-    state: _LoopState, gauge: Gauge, rng: np.random.Generator, meta: dict
-) -> RunTrace:
-    cfg = state.cfg
-    rounds: list[RoundRecord] = []
-    t_eps: int | None = None
-    stop = "cap"
-    for t in range(1, cfg.t_max + 1):
-        started = time.perf_counter()
-        new_tokens, measured = state.absorb(gauge.column_bits(), rng)
-        record, d = state.certify_round(
-            t, "gauge", gauge.to_tokens(), new_tokens, measured, started
-        )
-        rounds.append(record)
-        reason = state.stop_reason_for(record, t)
-        if reason is not None:
-            stop = reason
-            if reason == "width":
-                t_eps = t
-            break
-        nxt = cfg.policy.select_gauge(
-            d, [Label(cfg.n, b) for b in state.queried], rng
-        )
-        if nxt is None:
-            # Full coverage is caught by stop_reason_for, so this cannot
-            # trigger; kept as a hard guard for policy contract changes.
-            stop = "coverage"
-            break
-        gauge = nxt
-    return _finish(state, rounds, stop, t_eps, meta)
-
-
 def run_adaptive(cfg: RunConfig) -> RunTrace:
-    """Gauge-level adaptive certification (one gauge of n labels per round)."""
-    state, gauge, rng, meta = _prepare(cfg)
-    return _gauge_loop(state, gauge, rng, meta)
+    """Adaptive certification under any policy: one gauge per round for the
+    gauge policies; for ``fine``, the initial gauge in round 0 and then one
+    label per round."""
+    return _run(cfg, *np.random.SeedSequence(cfg.seed).spawn(2))
 
 
-def run_fine_grained(cfg: RunConfig) -> RunTrace:
-    """Single-label adaptive variant: round 0 queries the initial gauge,
-    every later round queries exactly one label."""
-    state, gauge, rng, meta = _prepare(cfg)
-    rounds: list[RoundRecord] = []
-    t_eps: int | None = None
-    stop = "cap"
-    started = time.perf_counter()
-    new_tokens, measured = state.absorb(gauge.column_bits(), rng)
-    record, d = state.certify_round(
-        0, "gauge", gauge.to_tokens(), new_tokens, measured, started
-    )
-    rounds.append(record)
-    reason = state.stop_reason_for(record, 0)
-    if reason == "cap":
-        reason = None  # round 0 is the initialization, the cap counts labels
-    if reason is not None:
-        if reason == "width":
-            t_eps = 0
-        return _finish(state, rounds, reason, t_eps, meta)
-    for t in range(1, cfg.t_max + 1):
-        started = time.perf_counter()
-        lab = select_single_label(d, [Label(cfg.n, b) for b in state.queried])
-        if lab is None:
-            stop = "coverage"
-            break
-        new_tokens, measured = state.absorb([lab.bits], rng)
-        record, d = state.certify_round(
-            t, "label", [lab.to_token()], new_tokens, measured, started
-        )
-        rounds.append(record)
-        reason = state.stop_reason_for(record, t)
-        if reason is not None:
-            stop = reason
-            if reason == "width":
-                t_eps = t
-            break
-    return _finish(state, rounds, stop, t_eps, meta)
+# An alias, because callers outside the package (perfbench) import this name.
+run_fine_grained = run_adaptive
 
 
 @dataclass(frozen=True)
@@ -739,8 +680,7 @@ def _ensemble_task(ens: EnsembleConfig, trial: int, arm_index: int) -> RunTrace:
     run_seq = np.random.SeedSequence(
         entropy=ens.seed, spawn_key=(trial, 1 + arm_index)
     )
-    state, gauge, rng, meta = _prepare(cfg, instance_seq, run_seq)
-    return _gauge_loop(state, gauge, rng, meta)
+    return _run(cfg, instance_seq, run_seq)
 
 
 @dataclass

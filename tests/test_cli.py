@@ -148,19 +148,10 @@ def test_certify_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_certify_and_fine_enforce_policy_kind(tmp_path, capsys):
-    fine_cfg = _write(tmp_path / "f.cfg", dict(RHO_EX_CONFIG, policy="fine"))
-    gauge_cfg = _write(tmp_path / "g.cfg", RHO_EX_CONFIG)
-    out = str(tmp_path / "o")
-    assert main(["certify", fine_cfg, "--out", out]) == 2
-    assert main(["fine", gauge_cfg, "--out", out]) == 2
-    capsys.readouterr()
-
-
 def test_fine_happy_path(tmp_path, capsys):
     cfg = _write(tmp_path / "f.cfg", dict(RHO_EX_CONFIG, policy="fine"))
     out = tmp_path / "o"
-    assert main(["fine", cfg, "--out", str(out)]) == 0
+    assert main(["certify", cfg, "--out", str(out)]) == 0
     assert "t_eps=3" in capsys.readouterr().out
     trace = json.loads((out / "trace.json").read_text())
     assert trace["rounds"][0]["kind"] == "gauge"
@@ -198,6 +189,26 @@ def test_ensemble_outputs_and_summary(tmp_path, capsys):
     assert header == "trial,policy,t,L,U,W,m_t,D_t,new_labels"
     echoed = json.loads((out / "config.echo").read_text())
     assert echoed["trials"] == 3
+
+
+def test_ensemble_with_a_fine_arm(tmp_path, capsys):
+    ens = dict(
+        ENSEMBLE_CONFIG,
+        arms=[
+            {"name": "witness", "policy": "witness", "shots": "exact"},
+            {"name": "fine", "policy": "fine", "shots": "exact"},
+        ],
+    )
+    cfg = _write(tmp_path / "ens.cfg", ens)
+    out = tmp_path / "o"
+    assert main(["ensemble", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert "fine:" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["arms"]["fine"]["contains_truth"] == 3
+    rows = (out / "rounds.csv").read_text().splitlines()[1:]
+    fine_rounds = [r.split(",") for r in rows if r.split(",")[1] == "fine"]
+    # Each fine trial starts with its initial gauge at t=0.
+    assert sum(1 for r in fine_rounds if r[2] == "0") == 3
 
 
 def test_ensemble_set_override_and_key_checks(tmp_path, capsys):

@@ -208,7 +208,8 @@ def test_greedy_basis_prefers_unqueried_on_ties():
     n = 3
     weights = np.ones(1 << n)
     weights[0] = 0.0
-    queried = [Label(n, 1), Label(n, 2)]
+    queried = np.zeros(1 << n, dtype=bool)
+    queried[[1, 2]] = True
     chosen = greedy_max_weight_basis(n, weights, queried)
     # All weights tie, so the tie-break must pick the three smallest
     # unqueried encodings that stay independent: 3, 4, 5.
@@ -220,5 +221,3 @@ def test_greedy_basis_input_validation():
         greedy_max_weight_basis(2, np.ones(3))
     with pytest.raises(ValueError):
         greedy_max_weight_basis(2, -np.ones(4))
-    with pytest.raises(ValueError):
-        greedy_max_weight_basis(2, {Label(2, 1): 1.0})

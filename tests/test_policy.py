@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from stabcert.gf2 import Label, rank
+from stabcert.gf2 import XorBasis, greedy_max_weight_basis, rank
 from stabcert.policy import (
     DisagreementSpectrum,
     PolicyChoice,
@@ -16,6 +16,13 @@ from stabcert.policy import (
     select_witness_gauge,
 )
 from stabcert.syndrome import sample_dirichlet_uniform, walsh
+
+
+def _mask(n, bits=()):
+    """Queried-label mask over all 2^n encodings with ``bits`` set."""
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[list(bits)] = True
+    return mask
 
 
 def test_disagreement_matches_spectral_difference():
@@ -34,12 +41,13 @@ def test_disagreement_matches_spectral_difference():
 def test_disagreement_aggregates():
     n = 2
     d = DisagreementSpectrum(n, np.array([0.0, 0.5, 0.25, 1.0]))
-    assert d.total_unqueried([]) == pytest.approx(1.75)
-    assert d.max_unqueried([]) == pytest.approx(1.0)
-    queried = [Label(n, 3)]
+    assert d.total_unqueried(_mask(n)) == pytest.approx(1.75)
+    assert d.max_unqueried(_mask(n)) == pytest.approx(1.0)
+    queried = _mask(n, [3])
     assert d.total_unqueried(queried) == pytest.approx(0.75)
     assert d.max_unqueried(queried) == pytest.approx(0.5)
-    assert d.max_unqueried([Label(n, b) for b in (1, 2, 3)]) == 0.0
+    assert d.max_unqueried(_mask(n, (1, 2, 3))) == 0.0
+    assert d.total_unqueried(_mask(n, (1, 2, 3))) == 0.0
 
 
 def test_disagreement_validation():
@@ -65,8 +73,7 @@ def test_witness_gauge_is_max_weight_and_contains_unqueried():
                 range(1, 1 << n), size=int(rng.integers(0, 6)), replace=False
             )
         )
-        queried = [Label(n, b) for b in queried_bits]
-        gauge = select_witness_gauge(d, queried)
+        gauge = select_witness_gauge(d, _mask(n, queried_bits))
         assert gauge is not None
         cols = gauge.column_bits()
         assert rank(cols) == n
@@ -85,16 +92,41 @@ def test_witness_gauge_is_max_weight_and_contains_unqueried():
         assert sum(weights[b] for b in cols) == pytest.approx(best, abs=1e-12)
 
 
+def test_mask_scans_match_the_label_loops():
+    # Reference: the per-label Python loops the masked reductions replace.
+    # Values on a coarse grid make ties common.
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        values = rng.integers(0, 5, size=1 << n) / 2.5
+        values[0] = 0.0
+        d = DisagreementSpectrum(n, values)
+        mask = rng.random(1 << n) < rng.random()
+        mask[0] = False
+        free = [b for b in range(1, 1 << n) if not mask[b]]
+        assert d.total_unqueried(mask) == float(sum(values[b] for b in free))
+        assert d.max_unqueried(mask) == (max(values[b] for b in free) if free else 0.0)
+        best = min(free, key=lambda b: (-values[b], b)) if free else None
+        got = select_single_label(d, mask)
+        assert (got.bits if got else None) == best
+        order = sorted(
+            range(1, 1 << n), key=lambda b: (-values[b], bool(mask[b]), b)
+        )
+        want = XorBasis()
+        chosen = [b for b in order if want.rank < n and want.add(b)]
+        got = greedy_max_weight_basis(n, values, mask)
+        assert sorted(lab.bits for lab in got) == sorted(chosen)
+
+
 def test_witness_gauge_none_at_full_coverage():
     n = 2
     d = DisagreementSpectrum(n, np.zeros(1 << n))
-    assert select_witness_gauge(d, [Label(n, b) for b in (1, 2, 3)]) is None
+    assert select_witness_gauge(d, _mask(n, (1, 2, 3))) is None
 
 
 def test_uniform_gauge_ignores_history_and_reproduces():
-    queried = [Label(4, 1)]
-    a = select_uniform_gauge(4, queried, np.random.default_rng(7))
-    b = select_uniform_gauge(4, [], np.random.default_rng(7))
+    a = select_uniform_gauge(4, np.random.default_rng(7))
+    b = select_uniform_gauge(4, np.random.default_rng(7))
     assert a == b
 
 
@@ -104,13 +136,14 @@ def test_mixed_policy_branches():
     values[5] = 1.0
     d = DisagreementSpectrum(n, values)
     # gamma=0 always takes the witness branch, gamma=1 the uniform one.
-    g0 = select_mixed(0.0, d, [], np.random.default_rng(0))
-    assert g0 == select_witness_gauge(d, [])
-    g1 = select_mixed(1.0, d, [], np.random.default_rng(0))
-    g1_again = select_mixed(1.0, d, [], np.random.default_rng(0))
+    none = _mask(n)
+    g0 = select_mixed(0.0, d, none, np.random.default_rng(0))
+    assert g0 == select_witness_gauge(d, none)
+    g1 = select_mixed(1.0, d, none, np.random.default_rng(0))
+    g1_again = select_mixed(1.0, d, none, np.random.default_rng(0))
     assert g1 == g1_again
     with pytest.raises(ValueError):
-        select_mixed(1.5, d, [], np.random.default_rng(0))
+        select_mixed(1.5, d, none, np.random.default_rng(0))
 
 
 def test_single_label_selection_and_ties():
@@ -119,12 +152,12 @@ def test_single_label_selection_and_ties():
     values[3] = 0.8
     values[6] = 0.8
     d = DisagreementSpectrum(n, values)
-    assert select_single_label(d, []).bits == 3  # tie broken by encoding
-    assert select_single_label(d, [Label(n, 3)]).bits == 6
+    assert select_single_label(d, _mask(n)).bits == 3  # tie broken by encoding
+    assert select_single_label(d, _mask(n, [3])).bits == 6
     # All-zero spectrum still returns the smallest unqueried label.
     flat = DisagreementSpectrum(n, np.zeros(1 << n))
-    assert select_single_label(flat, [Label(n, 1)]).bits == 2
-    assert select_single_label(flat, [Label(n, b) for b in range(1, 8)]) is None
+    assert select_single_label(flat, _mask(n, [1])).bits == 2
+    assert select_single_label(flat, _mask(n, range(1, 8))) is None
 
 
 def test_policy_choice_parsing():
@@ -148,7 +181,8 @@ def test_policy_choice_select_gauge_dispatch():
     values[1] = 1.0
     d = DisagreementSpectrum(n, values)
     rng = np.random.default_rng(0)
-    assert PolicyChoice("witness").select_gauge(d, [], rng) is not None
-    assert PolicyChoice("uniform").select_gauge(d, [], rng) is not None
+    none = _mask(n)
+    assert PolicyChoice("witness").select_gauge(d, none, rng) is not None
+    assert PolicyChoice("uniform").select_gauge(d, none, rng) is not None
     with pytest.raises(ValueError):
-        PolicyChoice("fine").select_gauge(d, [], rng)
+        PolicyChoice("fine").select_gauge(d, none, rng)

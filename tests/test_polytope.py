@@ -36,6 +36,10 @@ def test_constraint_set_rejects_zero_and_out_of_range():
     assert len(cset) == 0
     with pytest.raises(ValueError):
         cset.with_exact(1, 1.5)
+    with pytest.raises(ValueError):
+        cset.with_exact(0, 0.5)
+    with pytest.raises(ValueError):
+        add_band(cset, 1 << 2, 0.5, 0.1)
 
 
 def test_constraint_intersection_never_loosens():

@@ -1,6 +1,8 @@
-"""Unit tests for the adaptive loops and the ensemble harness."""
+"""Unit tests for the adaptive loop and the ensemble harness."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from stabcert.runner import (
     RunConfig,
     run_adaptive,
     run_ensemble,
-    run_fine_grained,
 )
 from stabcert.shots import ShotModel
 from stabcert.syndrome import SyndromeDistribution
@@ -53,7 +54,7 @@ def test_worked_example_adaptive_run():
 
 def test_worked_example_fine_grained_run():
     cfg = _cfg(policy=PolicyChoice("fine"), t_max=8)
-    trace = run_fine_grained(cfg)
+    trace = run_adaptive(cfg)
     assert trace.rounds[0].kind == "gauge"
     assert all(r.kind == "label" for r in trace.rounds[1:])
     assert all(len(r.new_labels) == 1 for r in trace.rounds[1:])
@@ -212,6 +213,34 @@ def test_monotonicity_violation_detection(monkeypatch):
     )
     with pytest.raises(InvariantViolation):
         run_adaptive(cfg)
+
+
+@pytest.mark.parametrize("policy", ["witness", "fine"])
+def test_infeasible_round_ends_the_run(monkeypatch, policy):
+    # Faithful data is never infeasible, so stub the second solve.
+    import stabcert.runner as runner_mod
+
+    real = runner_mod.solve_endpoints
+    calls = []
+
+    def solve(cset, **kw):
+        calls.append(len(cset))
+        if len(calls) == 2:
+            return EndpointResult(0.0, 0.0, None, None, "infeasible", "dense")
+        return real(cset, **kw)
+
+    monkeypatch.setattr(runner_mod, "solve_endpoints", solve)
+    cfg = _cfg(
+        n=4, instance=InstanceSpec(kind="dirichlet"), policy=PolicyChoice(policy)
+    )
+    trace = run_adaptive(cfg)
+    assert trace.stop_reason == "infeasible" and trace.t_eps is None
+    assert len(trace.rounds) == 2
+    last = trace.rounds[-1]
+    assert last.status == "infeasible" and last.new_labels
+    values = (last.lower, last.upper, last.width, last.d_total, last.d_max)
+    assert all(math.isnan(v) for v in values)
+    assert last.m_unqueried == 15 - calls[-1]
 
 
 def test_violations_recorded_in_record_mode(monkeypatch):
@@ -413,6 +442,72 @@ def test_ensemble_summary_fields():
     # Carried-forward widths are nonincreasing round over round.
     med = stats["median_width_per_round"]
     assert all(b <= a + 1e-12 for a, b in zip(med, med[1:]))
+
+
+def test_ensemble_with_a_fine_arm_runs_to_completion():
+    ens = EnsembleConfig(
+        trials=2,
+        base=RunConfig(
+            n=4,
+            instance=InstanceSpec(kind="dirichlet"),
+            policy=PolicyChoice("witness"),
+            epsilon=0.01,
+            t_max=6,
+        ),
+        arms=(
+            ArmSpec("witness", PolicyChoice("witness")),
+            ArmSpec("fine", PolicyChoice("fine")),
+        ),
+        seed=5,
+    )
+    result = run_ensemble(ens)
+    for trace in result.traces["fine"]:
+        assert trace.rounds[0].t == 0 and trace.rounds[0].kind == "gauge"
+        assert all(r.kind == "label" for r in trace.rounds[1:])
+        assert trace.contains_truth()
+    for wit, fine in zip(result.traces["witness"], result.traces["fine"]):
+        assert wit.true_fidelity == fine.true_fidelity
+    stats = result.summary_dict()["arms"]["fine"]
+    assert stats["trials"] == 2 and stats["contains_truth"] == 2
+    assert len(stats["median_width_per_round"]) == 6
+
+
+def _close(got, want, path="trace"):
+    """Equal structure, strings and ints; floats within 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        close = math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
+        both_nan = math.isnan(got) and math.isnan(want)
+        assert close or both_nan, f"{path}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _close(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+def test_run_adaptive_matches_recorded_traces():
+    # Full traces of witness, uniform, mixed:0.5 and fine runs at n <= 5,
+    # exact and finite-shot, recorded with the earlier implementation that
+    # ran the fine policy in a loop of its own (run_fine_grained).
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "golden_traces.json").read_text()
+    )
+    assert {g["config"]["policy"] for g in golden} == {
+        "witness",
+        "uniform",
+        "mixed:0.5",
+        "fine",
+    }
+    assert {g["stop_reason"] for g in golden} == {"width", "cap", "coverage"}
+    for want in golden:
+        trace = run_adaptive(RunConfig.from_json_dict(want["config"]))
+        _close(json.loads(json.dumps(trace.to_json_dict())), want)
 
 
 def test_ensemble_rounds_rows_shape():
