@@ -9,16 +9,21 @@ witness distributions that attain it.
 
 Two interchangeable solver backends are provided behind ``solve_endpoints``:
 a built-in dense two-phase simplex (exact pivoting plus a final basis
-refresh; its hot loop lives in :mod:`stabcert.kernels`) and a persistent
-warm-started HiGHS model per run (:class:`HighsModel`).  A run keeps one
-model, adds each new label to it as one row and re-solves both endpoints
-from their previous optimal bases; a call without a model builds a fresh
-one and solves cold.  ``auto`` picks the dense solver for small systems and
-HiGHS for large ones.
+refresh; its hot loop lives in :mod:`stabcert.kernels`) and persistent
+warm-started HiGHS models per run (:class:`HighsModel`), one per sense.  A
+run adds each new label to both models as one parity row and re-solves the
+two endpoints at once, the max on a solve thread while the calling thread
+runs the min, each from its own last optimal basis and factor; a call
+without a model builds a fresh one and solves cold.  ``auto`` picks the
+dense solver for small systems and HiGHS for large ones.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -50,6 +55,37 @@ FEASIBILITY_ATOL = 1e-9
 _AUTO_DENSE_CELLS = 50_000
 
 DEFAULT_SOLVER = "auto"
+
+_log = logging.getLogger(__name__)
+
+# One LP's outcome: ("solved", x) or ("infeasible", None).
+_Solved = tuple[str, np.ndarray | None]
+
+# The thread that runs the max-sense HiGHS model of every HighsModel in the
+# process.  It is started on first use, and a forked child drops the
+# parent's handle (the thread itself does not survive the fork) and starts
+# its own.
+_solver_thread: ThreadPoolExecutor | None = None
+_solver_thread_lock = threading.Lock()
+
+
+def _solve_thread() -> ThreadPoolExecutor:
+    global _solver_thread
+    with _solver_thread_lock:
+        if _solver_thread is None:
+            _solver_thread = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="stabcert-highs"
+            )
+        return _solver_thread
+
+
+def _forget_solve_thread() -> None:
+    global _solver_thread, _solver_thread_lock
+    _solver_thread = None
+    _solver_thread_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_solve_thread)
 
 
 class SolverError(RuntimeError):
@@ -238,102 +274,108 @@ def _lp_rows(cset: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 class HighsModel:
-    """One persistent HiGHS model for the endpoint LPs of a run.
+    """Two persistent HiGHS models for the endpoint LPs of a run, one per sense.
 
     Columns are the 2^n probabilities, bounded to [0, 1]; row 0 is the
-    normalization.  Each label becomes one row, added once: an equality row
-    for an exact value, a ranged row lo <= a.x <= hi for a band, whose
-    bounds are changed in place when a repeat tightens it.  Both senses
-    share the model: before a solve the cost is set for that sense and its
-    last optimal basis is restored, with the rows added since then entering
-    as basic, so the dual simplex restarts from a dual-feasible basis.  A
-    sense without a saved basis is solved cold.
+    normalization.  Given row 0, the Walsh constraint a_u.p in [lo, hi] is
+    the parity row sum_{s: u.s odd} p_s in [(1 - hi)/2, (1 - lo)/2], which
+    has 2^(n-1) unit coefficients instead of 2^n signed ones.  Each label
+    becomes one such row in both models, added once: an equality row for an
+    exact value, a ranged row for a band, whose bounds are changed in place
+    when a repeat tightens it.  The min model has cost +p(0) and the max
+    model -p(0), set once, so each keeps its own basis and factor from call
+    to call and the dual simplex restarts from a dual-feasible basis with
+    the new rows basic.  ``solve`` runs the max model on the module's solve
+    thread while the calling thread runs the min model; HiGHS releases the
+    GIL inside ``run()``.  Only ``run()`` happens on that thread.
 
     This class is the only user of scipy's private ``_highspy`` binding.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._cols = np.arange(1 << n, dtype=np.int32)
-        self._highs = None  # built on first use
+        self._models: tuple | None = None  # (min, max), built on first use
         self._rows: dict[int, tuple[int, float, float]] = {}  # bits -> row, lo, hi
-        self._bases: dict[int, tuple[list, list]] = {}  # sense -> col, row status
+        self._warm = False
 
     @property
     def warm(self) -> bool:
-        """True when the next solve restarts from a saved basis."""
-        return bool(self._bases)
+        """True when the next solve restarts from the last optimal bases."""
+        return self._warm
 
     def reset(self) -> None:
-        """Drop the solver state and the saved bases; the next solve is cold."""
-        if self._highs is not None:
-            self._highs.clearSolver()
-        self._bases.clear()
+        """Forget the last bases: the next solve starts both models cold."""
+        self._warm = False
 
     def _build(self) -> None:
-        h = _highs._Highs()
-        h.setOptionValue("output_flag", False)
-        h.setOptionValue("primal_feasibility_tolerance", 1e-10)
-        h.setOptionValue("dual_feasibility_tolerance", 1e-10)
         size = 1 << self.n
-        h.addVars(size, np.zeros(size), np.ones(size))
-        h.addRow(1.0, 1.0, size, self._cols, np.ones(size))
-        self._highs = h
+        models = []
+        for sense in (+1.0, -1.0):
+            h = _highs._Highs()
+            h.setOptionValue("output_flag", False)
+            h.setOptionValue("primal_feasibility_tolerance", 1e-10)
+            h.setOptionValue("dual_feasibility_tolerance", 1e-10)
+            h.addVars(size, np.zeros(size), np.ones(size))
+            h.changeColCost(0, sense)
+            h.addRow(1.0, 1.0, size, np.arange(size, dtype=np.int32), np.ones(size))
+            models.append(h)
+        self._models = tuple(models)
         self._rows = {}
-        self._bases = {}
+        self._warm = False
 
     def _sync(self, cset: ConstraintSet) -> None:
         """Add the rows of new labels and tighten changed bounds."""
         if cset.n != self.n:
             raise ValueError(f"model is for n={self.n}, constraints for n={cset.n}")
-        if self._highs is None or not self._rows.keys() <= cset.entries.keys():
+        if self._models is None or not self._rows.keys() <= cset.entries.keys():
             self._build()
-        h = self._highs
-        size = 1 << self.n
         for bits in sorted(cset.entries):
             lo, hi = cset.entries[bits]
             known = self._rows.get(bits)
+            if known is not None and known[1:] == (lo, hi):
+                continue
+            row_lo, row_hi = (1.0 - hi) / 2.0, (1.0 - lo) / 2.0
             if known is None:
-                h.addRow(lo, hi, size, self._cols, character_signs(self.n, bits))
-                self._rows[bits] = (h.getNumRow() - 1, lo, hi)
-            elif known[1:] != (lo, hi):
-                h.changeRowBounds(known[0], lo, hi)
-                self._rows[bits] = (known[0], lo, hi)
+                odd = np.flatnonzero(character_signs(self.n, bits) < 0).astype(np.int32)
+                ones = np.ones(len(odd))
+                for h in self._models:
+                    h.addRow(row_lo, row_hi, len(odd), odd, ones)
+                row = self._models[0].getNumRow() - 1
+            else:
+                row = known[0]
+                for h in self._models:
+                    h.changeRowBounds(row, row_lo, row_hi)
+            self._rows[bits] = (row, lo, hi)
 
-    def solve(self, cset: ConstraintSet, sense: int) -> tuple[str, np.ndarray | None]:
-        """One LP: sense=+1 minimizes p(0), sense=-1 maximizes it."""
+    def solve(self, cset: ConstraintSet) -> tuple[_Solved, _Solved]:
+        """Both LPs at once: (min p(0), max p(0)), each as (status, x)."""
         self._sync(cset)
-        h = self._highs
-        h.changeColCost(0, float(sense))
-        saved = self._bases.get(sense)
-        if saved is None:
-            h.clearSolver()
-        else:
-            basis = _highs.HighsBasis()
-            basis.col_status = saved[0]
-            pad = h.getNumRow() - len(saved[1])
-            basis.row_status = saved[1] + [_highs.HighsBasisStatus.kBasic] * pad
-            basis.valid = True
-            basis.alien = False
-            if h.setBasis(basis) != _highs.HighsStatus.kOk:
-                raise SolverError("HiGHS rejected the saved basis")
-        run_status = h.run()
-        status = h.getModelStatus()
-        if status in (
-            _highs.HighsModelStatus.kInfeasible,
-            _highs.HighsModelStatus.kUnboundedOrInfeasible,
-        ):
-            self._bases.pop(sense, None)
-            return "infeasible", None
-        if (
-            run_status == _highs.HighsStatus.kError
-            or status != _highs.HighsModelStatus.kOptimal
-        ):
-            self._bases.pop(sense, None)
-            raise SolverError(f"HiGHS ended with {h.modelStatusToString(status)}")
-        basis = h.getBasis()
-        self._bases[sense] = (basis.col_status, basis.row_status)
-        return "solved", np.array(h.getSolution().col_value)
+        lo_model, hi_model = self._models
+        if not self._warm:
+            lo_model.clearSolver()
+            hi_model.clearSolver()
+        hi_run = _solve_thread().submit(hi_model.run)
+        try:
+            lo_status = lo_model.run()
+        finally:
+            hi_status = hi_run.result()
+        self._warm = False
+        lo = _read_solution(lo_model, lo_status)
+        hi = _read_solution(hi_model, hi_status)
+        self._warm = lo[0] == hi[0] == "solved"
+        return lo, hi
+
+
+def _read_solution(h, run_status) -> _Solved:
+    status = h.getModelStatus()
+    if status in (
+        _highs.HighsModelStatus.kInfeasible,
+        _highs.HighsModelStatus.kUnboundedOrInfeasible,
+    ):
+        return "infeasible", None
+    if run_status == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"HiGHS ended with {h.modelStatusToString(status)}")
+    return "solved", np.array(h.getSolution().col_value)
 
 
 def _standard_form(
@@ -516,7 +558,7 @@ def _witness_ok(
     return True
 
 
-def _solve_dense(cset: ConstraintSet, sense: int) -> tuple[str, np.ndarray | None]:
+def _solve_dense_sense(cset: ConstraintSet, sense: int) -> _Solved:
     """One LP on the dense simplex: sense=+1 minimizes p(0), -1 maximizes it."""
     a_eq, b_eq, a_band, band_bounds = _lp_rows(cset)
     a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds)
@@ -526,6 +568,14 @@ def _solve_dense(cset: ConstraintSet, sense: int) -> tuple[str, np.ndarray | Non
     if x is not None:
         x = x[: 1 << cset.n]
     return status, x
+
+
+def _solve_dense(cset: ConstraintSet) -> tuple[_Solved, _Solved]:
+    """Both LPs on the dense simplex, the max only when the min is feasible."""
+    lo = _solve_dense_sense(cset, +1)
+    if lo[0] == "infeasible":
+        return lo, lo
+    return lo, _solve_dense_sense(cset, -1)
 
 
 def _witness(
@@ -547,16 +597,13 @@ def _witness(
 
 def _endpoints(
     cset: ConstraintSet,
-    solve_sense: Callable[[ConstraintSet, int], tuple[str, np.ndarray | None]],
+    solve: Callable[[ConstraintSet], tuple[_Solved, _Solved]],
     backend: str,
     want_witnesses: bool,
 ) -> EndpointResult:
     """Both endpoint LPs on one backend, with validated witnesses."""
-    status_lo, x_lo = solve_sense(cset, +1)
-    if status_lo == "infeasible":
-        return EndpointResult(0.0, 0.0, None, None, "infeasible", backend)
-    status_hi, x_hi = solve_sense(cset, -1)
-    if status_hi == "infeasible":
+    (status_lo, x_lo), (status_hi, x_hi) = solve(cset)
+    if "infeasible" in (status_lo, status_hi):
         return EndpointResult(0.0, 0.0, None, None, "infeasible", backend)
     lower = float(x_lo[0])
     upper = float(x_hi[0])
@@ -572,15 +619,16 @@ def _endpoints(
 def _endpoints_highs(
     cset: ConstraintSet, model: HighsModel, want_witnesses: bool
 ) -> EndpointResult:
-    """Endpoints on the HiGHS model.  A warm solve that fails validation or
-    reports infeasibility is repeated once cold before it is believed."""
+    """Endpoints on the HiGHS models.  A warm pair that fails validation or
+    reports infeasibility is solved once more cold before it is believed."""
     if model.warm:
         try:
             result = _endpoints(cset, model.solve, "highs", want_witnesses)
             if result.status == "solved":
                 return result
-        except SolverError:
-            pass
+            _log.debug("warm HiGHS solve reported infeasible; retrying cold")
+        except SolverError as err:
+            _log.debug("warm HiGHS solve failed (%s); retrying cold", err)
         model.reset()
     return _endpoints(cset, model.solve, "highs", want_witnesses)
 

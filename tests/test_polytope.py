@@ -1,6 +1,7 @@
 """Unit tests for the feasible-polytope endpoint solver."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -253,12 +254,20 @@ def test_tightened_band_changes_the_row_in_place():
         cset = add_band(cset, bits, spec.value(bits), 0.3)
     engine = HighsModel(3)
     last = solve_endpoints(cset, solver="highs", engine=engine)
-    rows = engine._highs.getNumRow()
+    rows = [h.getNumRow() for h in engine._models]
+    assert rows == [8, 8]
     for eta in (0.1, 0.0):
         cset = add_band(cset, 5, spec.value(5), eta)
         warm = solve_endpoints(cset, solver="highs", engine=engine)
         cold = solve_endpoints(cset, solver="highs")
-        assert engine._highs.getNumRow() == rows
+        assert [h.getNumRow() for h in engine._models] == rows
+        # Each model holds every label as a parity row: sum of p_s over the
+        # syndromes s with odd u.s, within [(1 - hi)/2, (1 - lo)/2].
+        for bits, (lo, hi) in cset.entries.items():
+            row = engine._rows[bits][0]
+            for h in engine._models:
+                status, row_lo, row_hi, nnz = h.getRow(row)
+                assert (row_lo, row_hi, nnz) == ((1 - hi) / 2, (1 - lo) / 2, 4)
         assert warm.solver == "highs"
         assert warm.lower == pytest.approx(cold.lower, abs=1e-9)
         assert warm.upper == pytest.approx(cold.upper, abs=1e-9)
@@ -317,6 +326,19 @@ def test_failed_warm_witness_is_resolved_cold(monkeypatch):
     assert result.solver == "highs"
     assert result.lower == pytest.approx(fresh.lower, abs=1e-9)
     assert result.upper == pytest.approx(fresh.upper, abs=1e-9)
+
+
+def test_warm_retry_is_logged(monkeypatch, caplog):
+    engine, cset, resets = _warm_engine_and_next_set()
+    _fail_witness_checks(monkeypatch, {1})
+    with caplog.at_level(logging.DEBUG, logger="stabcert.polytope"):
+        solve_endpoints(cset, solver="highs", engine=engine)
+    assert resets == [1]
+    retries = [r for r in caplog.records if r.name == "stabcert.polytope"]
+    assert len(retries) == 1
+    assert retries[0].levelno == logging.DEBUG
+    assert "witness validation failed" in retries[0].getMessage()
+    assert "retrying cold" in retries[0].getMessage()
 
 
 def test_failed_cold_resolve_falls_back_to_dense(monkeypatch):

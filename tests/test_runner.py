@@ -2,14 +2,24 @@
 
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stabcert
 from stabcert.gf2 import Label, XorBasis, rank
 from stabcert.policy import PolicyChoice
-from stabcert.polytope import EndpointResult
+from stabcert.polytope import (
+    ConstraintSet,
+    EndpointResult,
+    add_band,
+    solve_endpoints,
+)
 from stabcert.runner import (
     ArmSpec,
     EnsembleConfig,
@@ -426,6 +436,60 @@ def test_ensemble_thread_count_does_not_change_results():
     assert serial.rounds_rows() == parallel.rounds_rows()
 
 
+_HIGHS_RUN_THEN_ENSEMBLE = """
+from stabcert.policy import PolicyChoice
+from stabcert.runner import (
+    ArmSpec, EnsembleConfig, InstanceSpec, RunConfig, run_adaptive, run_ensemble,
+)
+
+base = RunConfig(
+    n=5, instance=InstanceSpec(kind="dirichlet"), policy=PolicyChoice("witness"),
+    epsilon=0.01, t_max=4, seed=0, solver="highs",
+)
+run_adaptive(base)
+ens = EnsembleConfig(
+    trials=3,
+    base=base,
+    arms=(
+        ArmSpec("witness", PolicyChoice("witness")),
+        ArmSpec("uniform", PolicyChoice("uniform")),
+    ),
+    seed=5,
+)
+serial = run_ensemble(ens, threads=1)
+parallel = run_ensemble(ens, threads=2)
+assert serial.summary_dict() == parallel.summary_dict()
+assert serial.rounds_rows() == parallel.rounds_rows()
+print("ok")
+"""
+
+
+def test_highs_ensemble_forks_cleanly_after_an_in_process_highs_run():
+    # The HiGHS solve thread started by the first run does not exist in a
+    # forked ensemble worker; a worker that still held its handle would wait
+    # on it forever.  The script runs in its own process group, so that a
+    # hang fails the test at the timeout and no worker outlives it.
+    src = str(Path(stabcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HIGHS_RUN_THEN_ENSEMBLE],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a HiGHS ensemble with threads=2 hung after an in-process HiGHS run")
+    assert proc.returncode == 0, err
+    assert out.strip() == "ok"
+
+
 def test_ensemble_summary_fields():
     result = run_ensemble(_small_ensemble())
     summary = result.summary_dict()
@@ -494,7 +558,10 @@ def _close(got, want, path="trace"):
 def test_run_adaptive_matches_recorded_traces():
     # Full traces of witness, uniform, mixed:0.5 and fine runs at n <= 5,
     # exact and finite-shot, recorded with the earlier implementation that
-    # ran the fine policy in a loop of its own (run_fine_grained).
+    # ran the fine policy in a loop of its own (run_fine_grained).  The n=5
+    # affine fine run on HiGHS was re-recorded when the HiGHS engine became
+    # one model per sense: HiGHS returns another optimal vertex there, which
+    # changes the labels the run picks.
     golden = json.loads(
         (Path(__file__).parent / "data" / "golden_traces.json").read_text()
     )
@@ -508,6 +575,25 @@ def test_run_adaptive_matches_recorded_traces():
     for want in golden:
         trace = run_adaptive(RunConfig.from_json_dict(want["config"]))
         _close(json.loads(json.dumps(trace.to_json_dict())), want)
+        if want["config"]["solver"] == "highs":
+            _check_rounds_against_dense(want)
+
+
+def _check_rounds_against_dense(trace: dict) -> None:
+    """Every round's [L, U] equals a fresh dense solve of its constraints."""
+    n = trace["config"]["n"]
+    cset = ConstraintSet.empty(n)
+    for record in trace["rounds"]:
+        for token, mu in record["measured"].items():
+            bits = Label.from_token(token, n).bits
+            if trace["eta"] > 0:
+                cset = add_band(cset, bits, mu, trace["eta"])
+            else:
+                cset = cset.with_exact(bits, mu)
+        dense = solve_endpoints(cset, solver="dense", want_witnesses=False)
+        assert dense.solver == "dense"
+        assert record["L"] == pytest.approx(dense.lower, abs=1e-9)
+        assert record["U"] == pytest.approx(dense.upper, abs=1e-9)
 
 
 def test_ensemble_rounds_rows_shape():
