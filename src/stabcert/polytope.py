@@ -11,19 +11,15 @@ Two interchangeable solver backends are provided behind ``solve_endpoints``:
 a built-in dense two-phase simplex (exact pivoting plus a final basis
 refresh; its hot loop lives in :mod:`stabcert.kernels`) and persistent
 warm-started HiGHS models per run (:class:`HighsModel`), one per sense.  A
-run adds each new label to both models as one parity row and re-solves the
-two endpoints at once, the max on a solve thread while the calling thread
-runs the min, each from its own last optimal basis and factor; a call
-without a model builds a fresh one and solves cold.  ``auto`` picks the
-dense solver for small systems and HiGHS for large ones.
+run adds each new label to both models as one parity row and re-solves each
+endpoint from its own model's last optimal basis and factor; a call without
+a model builds a fresh one and solves cold.  ``auto`` picks the dense
+solver for small systems and HiGHS for large ones.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -60,32 +56,6 @@ _log = logging.getLogger(__name__)
 
 # One LP's outcome: ("solved", x) or ("infeasible", None).
 _Solved = tuple[str, np.ndarray | None]
-
-# The thread that runs the max-sense HiGHS model of every HighsModel in the
-# process.  It is started on first use, and a forked child drops the
-# parent's handle (the thread itself does not survive the fork) and starts
-# its own.
-_solver_thread: ThreadPoolExecutor | None = None
-_solver_thread_lock = threading.Lock()
-
-
-def _solve_thread() -> ThreadPoolExecutor:
-    global _solver_thread
-    with _solver_thread_lock:
-        if _solver_thread is None:
-            _solver_thread = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="stabcert-highs"
-            )
-        return _solver_thread
-
-
-def _forget_solve_thread() -> None:
-    global _solver_thread, _solver_thread_lock
-    _solver_thread = None
-    _solver_thread_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_solve_thread)
 
 
 class SolverError(RuntimeError):
@@ -285,9 +255,7 @@ class HighsModel:
     when a repeat tightens it.  The min model has cost +p(0) and the max
     model -p(0), set once, so each keeps its own basis and factor from call
     to call and the dual simplex restarts from a dual-feasible basis with
-    the new rows basic.  ``solve`` runs the max model on the module's solve
-    thread while the calling thread runs the min model; HiGHS releases the
-    GIL inside ``run()``.  Only ``run()`` happens on that thread.
+    the new rows basic.
 
     This class is the only user of scipy's private ``_highspy`` binding.
     """
@@ -348,20 +316,15 @@ class HighsModel:
             self._rows[bits] = (row, lo, hi)
 
     def solve(self, cset: ConstraintSet) -> tuple[_Solved, _Solved]:
-        """Both LPs at once: (min p(0), max p(0)), each as (status, x)."""
+        """Both LPs: (min p(0), max p(0)), each as (status, x)."""
         self._sync(cset)
         lo_model, hi_model = self._models
         if not self._warm:
             lo_model.clearSolver()
             hi_model.clearSolver()
-        hi_run = _solve_thread().submit(hi_model.run)
-        try:
-            lo_status = lo_model.run()
-        finally:
-            hi_status = hi_run.result()
         self._warm = False
-        lo = _read_solution(lo_model, lo_status)
-        hi = _read_solution(hi_model, hi_status)
+        lo = _read_solution(lo_model, lo_model.run())
+        hi = _read_solution(hi_model, hi_model.run())
         self._warm = lo[0] == hi[0] == "solved"
         return lo, hi
 

@@ -2,16 +2,11 @@
 
 import json
 import math
-import os
-import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import stabcert
 from stabcert.gf2 import Label, XorBasis, rank
 from stabcert.policy import PolicyChoice
 from stabcert.polytope import (
@@ -434,60 +429,6 @@ def test_ensemble_thread_count_does_not_change_results():
     parallel = run_ensemble(ens, threads=2)
     assert serial.summary_dict() == parallel.summary_dict()
     assert serial.rounds_rows() == parallel.rounds_rows()
-
-
-_HIGHS_RUN_THEN_ENSEMBLE = """
-from stabcert.policy import PolicyChoice
-from stabcert.runner import (
-    ArmSpec, EnsembleConfig, InstanceSpec, RunConfig, run_adaptive, run_ensemble,
-)
-
-base = RunConfig(
-    n=5, instance=InstanceSpec(kind="dirichlet"), policy=PolicyChoice("witness"),
-    epsilon=0.01, t_max=4, seed=0, solver="highs",
-)
-run_adaptive(base)
-ens = EnsembleConfig(
-    trials=3,
-    base=base,
-    arms=(
-        ArmSpec("witness", PolicyChoice("witness")),
-        ArmSpec("uniform", PolicyChoice("uniform")),
-    ),
-    seed=5,
-)
-serial = run_ensemble(ens, threads=1)
-parallel = run_ensemble(ens, threads=2)
-assert serial.summary_dict() == parallel.summary_dict()
-assert serial.rounds_rows() == parallel.rounds_rows()
-print("ok")
-"""
-
-
-def test_highs_ensemble_forks_cleanly_after_an_in_process_highs_run():
-    # The HiGHS solve thread started by the first run does not exist in a
-    # forked ensemble worker; a worker that still held its handle would wait
-    # on it forever.  The script runs in its own process group, so that a
-    # hang fails the test at the timeout and no worker outlives it.
-    src = str(Path(stabcert.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _HIGHS_RUN_THEN_ENSEMBLE],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a HiGHS ensemble with threads=2 hung after an in-process HiGHS run")
-    assert proc.returncode == 0, err
-    assert out.strip() == "ok"
 
 
 def test_ensemble_summary_fields():
