@@ -99,7 +99,7 @@ def _run_config_from(data: dict) -> RunConfig:
         raise ConfigError("config needs an \"instance\" object")
     try:
         return RunConfig.from_json_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid run config: {exc}") from exc
 
 
@@ -120,7 +120,7 @@ def _ensemble_config_from(data: dict) -> EnsembleConfig:
             raise ConfigError("every arm must be an object")
     try:
         return EnsembleConfig.from_json_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid ensemble config: {exc}") from exc
 
 

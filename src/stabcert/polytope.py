@@ -13,7 +13,9 @@ refresh; its hot loop lives in :mod:`stabcert.kernels`) and persistent
 warm-started HiGHS models per run (:class:`HighsModel`), one per sense.  A
 run adds each new label to both models as one parity row and re-solves each
 endpoint from its own model's last optimal basis and factor; a call without
-a model builds a fresh one and solves cold.  ``auto`` picks the dense
+a model builds a fresh one and solves cold.  The dense simplex solves both
+endpoints from one phase 1, which reads no cost, and one factorization of
+its final basis; only phase 2 runs per sense.  ``auto`` picks the dense
 solver for small systems and HiGHS for large ones.
 """
 
@@ -217,30 +219,20 @@ class EndpointResult:
 
 
 def _lp_rows(cset: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Equality rows (A_eq, b_eq) and band rows (A_band, [lo, hi] bounds)."""
+    """Equality rows (A_eq, b_eq) and band rows (A_band, [lo, hi] bounds).
+
+    The +-1 rows (-1)^(u.s) over the sorted labels come from one parity
+    table, row 0 of A_eq being the normalization."""
     size = 1 << cset.n
-    eq_rows = [np.ones(size)]
-    eq_vals = [1.0]
-    band_rows = []
-    band_bounds = []
-    for bits in sorted(cset.entries):
-        lo, hi = cset.entries[bits]
-        row = character_signs(cset.n, bits)
-        if lo == hi:
-            eq_rows.append(row)
-            eq_vals.append(lo)
-        else:
-            band_rows.append(row)
-            band_bounds.append((lo, hi))
-    a_eq = np.array(eq_rows)
-    b_eq = np.array(eq_vals)
-    if band_rows:
-        a_band = np.array(band_rows)
-        bounds = np.array(band_bounds)
-    else:
-        a_band = np.zeros((0, size))
-        bounds = np.zeros((0, 2))
-    return a_eq, b_eq, a_band, bounds
+    labels = sorted(cset.entries)
+    bounds = np.array([cset.entries[bits] for bits in labels]).reshape(-1, 2)
+    s = np.arange(size, dtype=np.uint64)
+    parity = np.bitwise_count(np.array(labels, dtype=np.uint64)[:, None] & s) & 1
+    signs = 1.0 - 2.0 * parity.astype(np.float64)
+    exact = bounds[:, 0] == bounds[:, 1]
+    a_eq = np.vstack([np.ones(size), signs[exact]])
+    b_eq = np.concatenate([[1.0], bounds[exact, 0]])
+    return a_eq, b_eq, signs[~exact], bounds[~exact]
 
 
 class HighsModel:
@@ -347,33 +339,27 @@ def _standard_form(
     a_band: np.ndarray,
     band_bounds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Assemble [A | slacks] x = b with x >= 0; returns (A, b, n_vars)."""
+    """Assemble [A | slacks] x = b with x >= 0; returns (A, b, n_vars).
+
+    Band j becomes two rows: row + s_2j = hi and row - s_2j+1 = lo."""
     n_vars = a_eq.shape[1]
+    n_eq = a_eq.shape[0]
     n_band = len(a_band)
-    rows = []
-    vals = []
-    for i in range(a_eq.shape[0]):
-        rows.append((a_eq[i], None, 0.0))
-        vals.append(b_eq[i])
-    for j in range(n_band):
-        rows.append((a_band[j], 2 * j, 1.0))  # row + s = hi
-        vals.append(band_bounds[j, 1])
-        rows.append((a_band[j], 2 * j + 1, -1.0))  # row - s = lo
-        vals.append(band_bounds[j, 0])
-    m = len(rows)
-    a = np.zeros((m, n_vars + 2 * n_band))
-    b = np.asarray(vals, dtype=np.float64)
-    for i, (row, slack, coef) in enumerate(rows):
-        a[i, :n_vars] = row
-        if slack is not None:
-            a[i, n_vars + slack] = coef
+    a = np.zeros((n_eq + 2 * n_band, n_vars + 2 * n_band))
+    a[:n_eq, :n_vars] = a_eq
+    a[n_eq:, :n_vars] = np.repeat(a_band, 2, axis=0)
+    np.fill_diagonal(a[n_eq:, n_vars:], np.tile([1.0, -1.0], n_band))
+    b = np.concatenate([b_eq, band_bounds[:, ::-1].ravel()])
     return a, b, n_vars
 
 
-def _simplex_standard(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[str, np.ndarray | None]:
+class _Simplex:
     """Two-phase dense tableau simplex for min c.x, A x = b, x >= 0.
+
+    Phase 1 (``phase1``) minimizes the artificial mass and reads only
+    (A, b), so one phase 1 serves every cost vector: ``phase2(c)`` restarts
+    from the saved feasible basis and its factorization, and the two
+    endpoint LPs share both.
 
     Dantzig pricing with a switch to Bland's rule after a stall. Whenever a
     phase claims optimality the tableau is rebuilt exactly from the original
@@ -382,41 +368,53 @@ def _simplex_standard(
     take hundreds of pivots, and without the rebuild the accumulated drift
     in the cost row can stop a phase early.
     """
-    a = a.copy()
-    b = b.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    m, ncol = a.shape
-    total = ncol + m
 
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :ncol] = a
-    tableau[:m, ncol:total] = np.eye(m)
-    tableau[:m, total] = b
-    basis = list(range(ncol, total))
-    a_ext = np.concatenate([a, np.eye(m), b[:, None]], axis=1)
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        a = a.copy()
+        b = b.copy()
+        neg = b < 0
+        a[neg] *= -1.0
+        b[neg] *= -1.0
+        self.m, self.ncol = m, ncol = a.shape
+        self.total = total = ncol + m
+        self.tableau = np.zeros((m + 1, total + 1))
+        self.tableau[:m, :ncol] = a
+        self.tableau[:m, ncol:total] = np.eye(m)
+        self.tableau[:m, total] = b
+        # Phase 1 reduced costs: minus the column sums under cost 1 on the
+        # artificials.
+        self.tableau[m, :ncol] = -a.sum(axis=0)
+        self.tableau[m, total] = -b.sum()
+        self.basis = list(range(ncol, total))
+        self.a_ext = np.concatenate([a, np.eye(m), b[:, None]], axis=1)
+        self._start: tuple[list[int], np.ndarray] | None = None
 
-    def refresh(cost_ext: np.ndarray) -> float:
-        """Rebuild the tableau from the original data; return min reduced cost."""
-        bmat = a_ext[:, basis]
+    def _factor(self) -> np.ndarray:
+        """B^-1 [A | I | b] for the current basis, from the original data."""
         try:
-            sol = np.linalg.solve(bmat, a_ext)
+            sol = np.linalg.solve(self.a_ext[:, self.basis], self.a_ext)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis during refresh") from exc
-        np.maximum(sol[:, total], 0.0, out=sol[:, total])
+        np.maximum(sol[:, self.total], 0.0, out=sol[:, self.total])
+        return sol
+
+    def _refresh(self, cost_ext: np.ndarray, sol: np.ndarray) -> float:
+        """Rebuild the tableau from ``sol`` = B^-1 [A | I | b] and the cost;
+        return the min reduced cost."""
+        m, total, tableau = self.m, self.total, self.tableau
         tableau[:m, :] = sol
-        cb = cost_ext[basis]
+        cb = cost_ext[self.basis]
         tableau[m, :total] = cost_ext - cb @ sol[:, :total]
         tableau[m, total] = -(cb @ sol[:, total])
-        return float(tableau[m, :ncol].min())
+        return float(tableau[m, : self.ncol].min())
 
-    def run(allowed_max: int) -> str:
+    def _run(self) -> str:
+        m, total, tableau, basis = self.m, self.total, self.tableau, self.basis
         bland = False
         stall = 0
         last_obj = tableau[m, total]
-        for _ in range(200 * (m + ncol) + 5000):
-            costs = tableau[m, :allowed_max]
+        for _ in range(200 * (m + self.ncol) + 5000):
+            costs = tableau[m, : self.ncol]
             if bland:
                 idx = np.nonzero(costs < -FEASIBILITY_ATOL)[0]
                 if not len(idx):
@@ -460,43 +458,45 @@ def _simplex_standard(
             last_obj = obj
         raise SolverError("simplex iteration limit exceeded")
 
-    def polish(cost_ext: np.ndarray) -> None:
+    def _polish(self, cost_ext: np.ndarray) -> None:
         """Pivot to optimality, accepting only a refactorization-clean row."""
         for _ in range(30):
-            status = run(ncol)
+            status = self._run()
             if status != "optimal":
                 raise SolverError(f"simplex phase ended {status}")
-            if refresh(cost_ext) >= -FEASIBILITY_ATOL:
+            if self._refresh(cost_ext, self._factor()) >= -FEASIBILITY_ATOL:
                 return
         raise SolverError("optimality polish did not converge")
 
-    # Phase 1: minimize the artificial mass.
-    cost1 = np.concatenate([np.zeros(ncol), np.ones(m)])
-    tableau[m, :ncol] = -a.sum(axis=0)
-    tableau[m, total] = -b.sum()
-    polish(cost1)
-    if -tableau[m, total] > 1e-7:
-        return "infeasible", None
+    def phase1(self) -> bool:
+        """Find a feasible basis; False when A x = b, x >= 0 has none."""
+        m, ncol, tableau, basis = self.m, self.ncol, self.tableau, self.basis
+        self._polish(np.concatenate([np.zeros(ncol), np.ones(m)]))
+        if -tableau[m, self.total] > 1e-7:
+            return False
+        # Drive leftover artificials out of the basis where possible.
+        for i in range(m):
+            if basis[i] >= ncol:
+                row = tableau[i, :ncol]
+                cands = np.nonzero(np.abs(row) > 1e-7)[0]
+                if len(cands):
+                    pivot_update(tableau, i, int(cands[0]))
+                    basis[i] = int(cands[0])
+        self._start = (list(basis), self._factor())
+        return True
 
-    # Drive leftover artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= ncol:
-            row = tableau[i, :ncol]
-            cands = np.nonzero(np.abs(row) > 1e-7)[0]
-            if len(cands):
-                pivot_update(tableau, i, int(cands[0]))
-                basis[i] = int(cands[0])
-
-    # Phase 2 with the real objective.
-    cost2 = np.concatenate([c, np.zeros(m)])
-    refresh(cost2)
-    polish(cost2)
-
-    x = np.zeros(ncol)
-    for i, j in enumerate(basis):
-        if j < ncol:
-            x[j] = tableau[i, total]
-    return "solved", x
+    def phase2(self, c: np.ndarray) -> np.ndarray:
+        """An optimal x for min c.x, from the basis phase 1 left."""
+        start_basis, sol = self._start
+        self.basis[:] = start_basis
+        cost2 = np.concatenate([c, np.zeros(self.m)])
+        self._refresh(cost2, sol)
+        self._polish(cost2)
+        x = np.zeros(self.ncol)
+        for i, j in enumerate(self.basis):
+            if j < self.ncol:
+                x[j] = self.tableau[i, self.total]
+        return x
 
 
 def _auto_backend(cset: ConstraintSet) -> str:
@@ -521,24 +521,19 @@ def _witness_ok(
     return True
 
 
-def _solve_dense_sense(cset: ConstraintSet, sense: int) -> _Solved:
-    """One LP on the dense simplex: sense=+1 minimizes p(0), -1 maximizes it."""
-    a_eq, b_eq, a_band, band_bounds = _lp_rows(cset)
-    a, b, n_vars = _standard_form(a_eq, b_eq, a_band, band_bounds)
-    c_std = np.zeros(a.shape[1])
-    c_std[0] = float(sense)
-    status, x = _simplex_standard(c_std, a, b)
-    if x is not None:
-        x = x[: 1 << cset.n]
-    return status, x
-
-
 def _solve_dense(cset: ConstraintSet) -> tuple[_Solved, _Solved]:
-    """Both LPs on the dense simplex, the max only when the min is feasible."""
-    lo = _solve_dense_sense(cset, +1)
-    if lo[0] == "infeasible":
-        return lo, lo
-    return lo, _solve_dense_sense(cset, -1)
+    """Both LPs on the dense simplex: one phase 1, then phase 2 for min p(0)
+    and for max p(0); both infeasible when phase 1 is."""
+    a, b, n_vars = _standard_form(*_lp_rows(cset))
+    simplex = _Simplex(a, b)
+    if not simplex.phase1():
+        return ("infeasible", None), ("infeasible", None)
+    out = []
+    for sense in (+1.0, -1.0):
+        c = np.zeros(a.shape[1])
+        c[0] = sense
+        out.append(("solved", simplex.phase2(c)[:n_vars]))
+    return out[0], out[1]
 
 
 def _witness(

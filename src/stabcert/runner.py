@@ -195,8 +195,8 @@ class RunConfig:
     assertions: str = "strict"  # strict | record | off
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max!r}")
         if self.assertions not in ("strict", "record", "off"):

@@ -85,9 +85,12 @@ class ShotModel:
             raise ValueError(
                 f"shot model needs exactly Ns, delta, Tmax; got {sorted(fields)}"
             )
+        n_shots = float(fields["Ns"])  # accepts 1e4
+        if not (math.isfinite(n_shots) and n_shots.is_integer()):
+            raise ValueError(f"Ns must be a finite whole number, got {fields['Ns']!r}")
         return cls(
             "finite",
-            n_shots=int(float(fields["Ns"])),
+            n_shots=int(n_shots),
             delta=float(fields["delta"]),
             t_max=int(fields["Tmax"]),
         )

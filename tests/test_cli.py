@@ -148,6 +148,23 @@ def test_certify_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_rejects_non_finite_and_fractional_numbers(tmp_path, capsys):
+    # Each must be a config error (exit 2): not an OverflowError traceback
+    # (inf), a silently truncated budget (1000.9) or a run that can never
+    # stop on width (NaN).
+    cfg = _write(tmp_path / "c.cfg", RHO_EX_CONFIG)
+    out = str(tmp_path / "o")
+    for override, message in (
+        ("shots=finite:Ns=inf,delta=0.05,Tmax=10", "Ns must be a finite whole number"),
+        ("shots=finite:Ns=1000.9,delta=0.05,Tmax=10", "Ns must be a finite whole number"),
+        ("epsilon=NaN", "epsilon must be finite"),
+        ("t_max=Infinity", "invalid run config"),
+    ):
+        assert main(["certify", cfg, "--out", out, "--set", override]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fine_happy_path(tmp_path, capsys):
     cfg = _write(tmp_path / "f.cfg", dict(RHO_EX_CONFIG, policy="fine"))
     out = tmp_path / "o"

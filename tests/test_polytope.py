@@ -2,6 +2,7 @@
 
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,49 @@ def test_infeasible_constraint_sets_are_reported():
     empty = add_band(add_band(ConstraintSet.empty(2), 1, 0.8, 0.05), 1, 0.2, 0.05)
     assert empty.has_empty_band()
     assert solve_endpoints(empty).status == "infeasible"
+
+
+def test_dense_pair_reproduces_the_recorded_witnesses(monkeypatch):
+    """Both endpoints from one phase 1: the same bits in fewer pivots.
+
+    ``data/dense_witnesses.json`` was recorded when each endpoint ran its
+    own phase 1: 152 constraint sets at n = 3..6 (126 from
+    ``_random_constraints``, 24 with 2n to 40 labels, one empty band and one
+    infeasible set), each with the status, L and U of a dense
+    ``solve_endpoints``, the raw ``_solve_dense`` vectors as ``float.hex``,
+    the ``pivot_update`` calls of that pair and those of its phase 1 alone
+    (a solve with zero cost).  The bits are those of the numpy 2.4.6 /
+    OpenBLAS build it was recorded with.
+    """
+    pivots = 0
+    pivot_update = polytope.pivot_update
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot_update(*args)
+
+    monkeypatch.setattr(polytope, "pivot_update", counting)
+    cases = json.loads((Path(__file__).parent / "data" / "dense_witnesses.json").read_text())
+    assert len(cases) == 152
+    assert sum(case["status"] == "infeasible" for case in cases) == 2
+    for case in cases:
+        cset = ConstraintSet.from_json_dict(case["constraints"])
+        pivots = 0
+        pair = polytope._solve_dense(cset)
+        used = pivots
+        for (status, x), key in zip(pair, ("x_lo", "x_hi")):
+            assert status == ("infeasible" if case[key] is None else "solved")
+            assert (None if x is None else [float(v).hex() for v in x]) == case[key]
+        result = solve_endpoints(cset, solver="dense")
+        assert (result.status, result.solver) == (case["status"], "dense")
+        assert (result.lower.hex(), result.upper.hex()) == (case["L"], case["U"])
+        if case["status"] == "solved":
+            # Phase 1 runs once for both senses.
+            assert case["phase1_pivots"] > 0
+            assert used <= case["pivots"] - case["phase1_pivots"]
+        else:
+            assert used <= case["pivots"]
 
 
 def test_solver_argument_validation():

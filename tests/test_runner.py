@@ -303,8 +303,9 @@ def test_run_config_json_roundtrip():
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        _cfg(epsilon=-0.1)
+    for epsilon in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            _cfg(epsilon=epsilon)
     with pytest.raises(ValueError):
         _cfg(t_max=0)
     with pytest.raises(ValueError):

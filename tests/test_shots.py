@@ -74,6 +74,14 @@ def test_shot_model_rejects_malformed_text():
         ShotModel("sometimes")
 
 
+def test_shot_budget_must_be_a_finite_whole_number():
+    # Neither truncated (1000.9 -> 1000) nor left to overflow in int().
+    for ns in ("1000.9", "0.5", "inf", "-inf", "nan", "1e400"):
+        with pytest.raises(ValueError, match="Ns must be a finite whole number"):
+            ShotModel.parse(f"finite:Ns={ns},delta=0.05,Tmax=8")
+    assert ShotModel.parse("finite:Ns=1000.0,delta=0.05,Tmax=8").n_shots == 1000
+
+
 def test_union_bound_coverage_without_lps():
     # Simulate 600 measurement campaigns of n*T_max = 64 labels at
     # N_s = 10^4: the event that every estimate stays within the shared
