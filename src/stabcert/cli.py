@@ -10,7 +10,7 @@ Subcommands:
 Campaign outputs are a directory with `config.echo` (the effective,
 rerunnable configuration), machine-readable JSON, and a per-round CSV.
 Exit codes: 0 success, 2 bad input or config, 3 infeasible run, 4 selftest
-failure.
+failure, 5 LP solver failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from stabcert.certificates import (
     confidence_interval,
     one_gauge_certificate,
 )
+from stabcert.polytope import SolverError
 from stabcert.runner import (
     EnsembleConfig,
     RunConfig,
@@ -238,7 +239,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
         cfg = _run_config_from(data)
     except ConfigError as exc:
         return _fail(str(exc), 2)
-    trace = run_adaptive(cfg)
+    try:
+        trace = run_adaptive(cfg)
+    except SolverError as exc:
+        return _fail(f"solver failed: {exc}", 5)
     os.makedirs(args.out, exist_ok=True)
     _write_echo(args.out, data)
     _write_json(
@@ -263,7 +267,10 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail(str(exc), 2)
     threads = args.threads if args.threads else (os.cpu_count() or 1)
-    result = run_ensemble(ens, threads=threads)
+    try:
+        result = run_ensemble(ens, threads=threads)
+    except SolverError as exc:
+        return _fail(f"solver failed: {exc}", 5)
     os.makedirs(args.out, exist_ok=True)
     _write_echo(args.out, data)
     summary = result.summary_dict()

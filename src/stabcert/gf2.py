@@ -240,22 +240,12 @@ class Gauge:
     def column_bits(self) -> list[int]:
         return [c.bits for c in self.columns]
 
-    def column_set(self) -> frozenset[Label]:
-        return frozenset(self.columns)
-
     def to_tokens(self) -> list[str]:
         return [c.to_token() for c in self.columns]
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], n: int) -> "Gauge":
         return cls(n, tuple(Label.from_token(t, n) for t in tokens))
-
-    def transpose_apply(self, v: int) -> int:
-        """A^T v on bitmask vectors."""
-        return apply_transpose(self.column_bits(), v)
-
-    def inverse_columns(self) -> list[int]:
-        return invert_columns(self.column_bits(), self.n)
 
 
 def sample_uniform_gauge(n: int, rng: np.random.Generator) -> Gauge:

@@ -7,16 +7,16 @@ Minimizing and maximizing the zero-syndrome probability over this polytope
 gives a certified two-sided fidelity interval together with the endpoint
 witness distributions that attain it.
 
-Two interchangeable solver backends are provided behind ``solve_endpoints``:
-a built-in dense two-phase simplex (exact pivoting plus a final basis
-refresh; its hot loop lives in :mod:`stabcert.kernels`) and persistent
-warm-started HiGHS models per run (:class:`HighsModel`), one per sense.  A
-run adds each new label to both models as one parity row and re-solves each
-endpoint from its own model's last optimal basis and factor; a call without
-a model builds a fresh one and solves cold.  The dense simplex solves both
-endpoints from one phase 1, which reads no cost, and one factorization of
-its final basis; only phase 2 runs per sense.  ``auto`` picks the dense
-solver for small systems and HiGHS for large ones.
+Two solver backends sit behind ``solve_endpoints``, which picks one from
+the constraint set: a built-in dense two-phase simplex (exact pivoting plus
+a final basis refresh; its hot loop lives in :mod:`stabcert.kernels`) for
+exact data at n <= 6, and persistent warm-started HiGHS models per run
+(:class:`HighsModel`), one per sense, for everything else.  A run adds each
+new label to both models as one parity row and re-solves each endpoint from
+its own model's last optimal basis and factor; a call without a model builds
+a fresh one and solves cold.  The dense simplex solves both endpoints from
+one phase 1, which reads no cost, and one factorization of its final basis;
+only phase 2 runs per sense.
 """
 
 from __future__ import annotations
@@ -43,16 +43,18 @@ __all__ = [
     "build_exact_constraints",
     "add_band",
     "solve_endpoints",
-    "DEFAULT_SOLVER",
 ]
 
 # Required accuracy for endpoints and witness feasibility.
 FEASIBILITY_ATOL = 1e-9
 
-# auto backend: dense tableau below this many tableau cells, HiGHS above.
-_AUTO_DENSE_CELLS = 50_000
-
-DEFAULT_SOLVER = "auto"
+# Exact data at n <= this runs on the dense simplex, all else on HiGHS.
+# Each band adds two rows and two slack columns to the dense tableau, so
+# with bands HiGHS is faster at every n (Dirichlet witness runs at n = 6:
+# 0.20 s dense, 0.03 s HiGHS); on exact data it is twice as fast from n = 7
+# (0.16 s against 0.08 s).  Below that both take about the same time, and
+# the dense vertex witnesses lead the witness policy to narrower intervals.
+_DENSE_MAX_N = 6
 
 _log = logging.getLogger(__name__)
 
@@ -499,12 +501,6 @@ class _Simplex:
         return x
 
 
-def _auto_backend(cset: ConstraintSet) -> str:
-    size = 1 << cset.n
-    rows = 1 + len(cset)
-    return "dense" if size * rows <= _AUTO_DENSE_CELLS else "highs"
-
-
 def _witness_ok(
     cset: ConstraintSet, probs: np.ndarray, endpoint: float
 ) -> bool:
@@ -557,7 +553,6 @@ def _endpoints(
     cset: ConstraintSet,
     solve: Callable[[ConstraintSet], tuple[_Solved, _Solved]],
     backend: str,
-    want_witnesses: bool,
 ) -> EndpointResult:
     """Both endpoint LPs on one backend, with validated witnesses."""
     (status_lo, x_lo), (status_hi, x_hi) = solve(cset)
@@ -567,61 +562,41 @@ def _endpoints(
     upper = float(x_hi[0])
     if not (_witness_ok(cset, x_lo, lower) and _witness_ok(cset, x_hi, upper)):
         raise SolverError(f"witness validation failed on {backend}")
-    if not want_witnesses:
-        return EndpointResult(lower, upper, None, None, "solved", backend)
     w_lo = _witness(cset, x_lo, lower, backend)
     w_hi = _witness(cset, x_hi, upper, backend)
     return EndpointResult(lower, upper, w_lo, w_hi, "solved", backend)
 
 
-def _endpoints_highs(
-    cset: ConstraintSet, model: HighsModel, want_witnesses: bool
-) -> EndpointResult:
+def _endpoints_highs(cset: ConstraintSet, model: HighsModel) -> EndpointResult:
     """Endpoints on the HiGHS models.  A warm pair that fails validation or
     reports infeasibility is solved once more cold before it is believed."""
     if model.warm:
         try:
-            result = _endpoints(cset, model.solve, "highs", want_witnesses)
+            result = _endpoints(cset, model.solve, "highs")
             if result.status == "solved":
                 return result
             _log.debug("warm HiGHS solve reported infeasible; retrying cold")
         except SolverError as err:
             _log.debug("warm HiGHS solve failed (%s); retrying cold", err)
         model.reset()
-    return _endpoints(cset, model.solve, "highs", want_witnesses)
+    return _endpoints(cset, model.solve, "highs")
 
 
 def solve_endpoints(
-    cset: ConstraintSet,
-    *,
-    solver: str | None = None,
-    want_witnesses: bool = True,
-    engine: HighsModel | None = None,
+    cset: ConstraintSet, *, engine: HighsModel | None = None
 ) -> EndpointResult:
     """Certified interval [min p(0), max p(0)] over the feasible polytope.
 
-    ``solver`` is "dense", "highs", or "auto" (default, size-based).
-    ``engine`` is the run's persistent HiGHS model, kept across calls whose
-    constraint sets only grow or tighten; without one, HiGHS solves cold on
-    a fresh model.  If the chosen backend fails, the other one is tried.
+    Exact data at n <= 6 is solved on the dense simplex, anything else on
+    HiGHS.  ``engine`` is the run's persistent HiGHS model, kept across
+    calls whose constraint sets only grow or tighten; without one, HiGHS
+    solves cold on a fresh model.  Raises ``SolverError`` when the backend
+    fails to produce a validated solution.
     """
-    backend = solver or DEFAULT_SOLVER
-    if backend == "auto":
-        backend = _auto_backend(cset)
-    if backend not in ("dense", "highs"):
-        raise ValueError(f"unknown solver backend {backend!r}")
+    exact = all(lo == hi for lo, hi in cset.entries.values())
+    backend = "dense" if exact and cset.n <= _DENSE_MAX_N else "highs"
     if cset.has_empty_band():
         return EndpointResult(0.0, 0.0, None, None, "infeasible", backend)
-
-    chain = [backend] + [alt for alt in ("dense", "highs") if alt != backend]
-    last_err: Exception | None = None
-    for attempt in chain:
-        try:
-            if attempt == "dense":
-                return _endpoints(cset, _solve_dense, attempt, want_witnesses)
-            model = engine if engine is not None else HighsModel(cset.n)
-            return _endpoints_highs(cset, model, want_witnesses)
-        except SolverError as err:
-            last_err = err
-            continue
-    raise SolverError(f"all backends failed: {last_err}")
+    if backend == "dense":
+        return _endpoints(cset, _solve_dense, backend)
+    return _endpoints_highs(cset, engine if engine is not None else HighsModel(cset.n))

@@ -191,7 +191,6 @@ class RunConfig:
     shots: ShotModel = ShotModel()
     initial_gauge: str | tuple[str, ...] = "identity"
     seed: int = 0
-    solver: str = "auto"
     assertions: str = "strict"  # strict | record | off
 
     def __post_init__(self) -> None:
@@ -226,7 +225,6 @@ class RunConfig:
             "shots": str(self.shots),
             "initial_gauge": gauge if isinstance(gauge, str) else list(gauge),
             "seed": self.seed,
-            "solver": self.solver,
             "assertions": self.assertions,
         }
 
@@ -245,7 +243,6 @@ class RunConfig:
             shots=ShotModel.parse(data.get("shots", "exact")),
             initial_gauge=gauge if isinstance(gauge, str) else tuple(gauge),
             seed=int(data.get("seed", 0)),
-            solver=data.get("solver", "auto"),
             assertions=data.get("assertions", "strict"),
         )
 
@@ -482,9 +479,7 @@ class _LoopState:
         Also returns the disagreement spectrum of the endpoint witnesses,
         which the policies pick the next query from; None when unsolved.
         """
-        result = solve_endpoints(
-            self.cset, solver=self.cfg.solver, engine=self.engine
-        )
+        result = solve_endpoints(self.cset, engine=self.engine)
         solved = result.status == "solved"
         d = None
         if solved:

@@ -110,7 +110,6 @@ def affine_structure_traces():
                 epsilon=0.0,
                 t_max=20,
                 seed=1000 + i,
-                solver="highs",
                 assertions="strict",
             )
             bucket.append(run_adaptive(cfg))
@@ -156,9 +155,7 @@ def test_02_closed_form_lp_agreement():
         gauge = sample_uniform_gauge(n, rng)
         spec = walsh(p)
         mu = [spec.value(b) for b in gauge.column_bits()]
-        result = solve_endpoints(
-            build_exact_constraints(p, gauge.columns), want_witnesses=False
-        )
+        result = solve_endpoints(build_exact_constraints(p, gauge.columns))
         worst = max(
             worst,
             abs(result.lower - kkl_lower(mu)),

@@ -16,7 +16,6 @@ RHO_EX_CONFIG = {
     "shots": "exact",
     "initial_gauge": "identity",
     "seed": 0,
-    "solver": "auto",
     "assertions": "strict",
 }
 
@@ -33,7 +32,6 @@ ENSEMBLE_CONFIG = {
         "shots": "exact",
         "initial_gauge": "identity",
         "seed": 0,
-        "solver": "auto",
         "assertions": "strict",
     },
     "arms": [
@@ -142,9 +140,9 @@ def test_certify_rejects_bad_configs(tmp_path, capsys):
     bad_instance = dict(RHO_EX_CONFIG, instance={"kind": "rho_ex", "flavor": 3})
     cfg = _write(tmp_path / "i.cfg", bad_instance)
     assert main(["certify", cfg, "--out", out]) == 2
-    removed_key = dict(RHO_EX_CONFIG, tiebreak="solver-default")
-    cfg = _write(tmp_path / "t.cfg", removed_key)
-    assert main(["certify", cfg, "--out", out]) == 2
+    for removed_key in ({"tiebreak": "solver-default"}, {"solver": "highs"}):
+        cfg = _write(tmp_path / "t.cfg", dict(RHO_EX_CONFIG, **removed_key))
+        assert main(["certify", cfg, "--out", out]) == 2
     capsys.readouterr()
 
 
@@ -191,6 +189,26 @@ def test_certify_reports_infeasible_with_exit_3(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path / "run.cfg", RHO_EX_CONFIG)
     assert main(["certify", cfg, "--out", str(tmp_path / "o")]) == 3
     capsys.readouterr()
+
+
+def test_solver_failure_exits_with_5(tmp_path, capsys, monkeypatch):
+    # Finite shots put bands in the LP, so every solve runs on HiGHS.
+    import stabcert.polytope as polytope_mod
+
+    def broken(self, cset):
+        raise polytope_mod.SolverError("HiGHS ended with Unknown")
+
+    monkeypatch.setattr(polytope_mod.HighsModel, "solve", broken)
+    shots = "finite:Ns=1000,delta=0.05,Tmax=10"
+    cfg = _write(tmp_path / "run.cfg", dict(RHO_EX_CONFIG, shots=shots))
+    assert main(["certify", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert "stabcert: solver failed: HiGHS ended with Unknown" in capsys.readouterr().err
+    arms = [dict(arm, shots=shots) for arm in ENSEMBLE_CONFIG["arms"]]
+    cfg = _write(tmp_path / "ens.cfg", dict(ENSEMBLE_CONFIG, arms=arms))
+    out = tmp_path / "e"
+    assert main(["ensemble", cfg, "--out", str(out), "--threads", "1"]) == 5
+    assert "stabcert: solver failed: HiGHS ended with Unknown" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not out.exists()
 
 
 def test_ensemble_outputs_and_summary(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stabcert import polytope
-from stabcert.gf2 import Label, sample_uniform_gauge
+from stabcert.gf2 import Gauge, Label, sample_uniform_gauge
 from stabcert.policy import PolicyChoice
 from stabcert.polytope import (
     ConstraintSet,
@@ -96,6 +96,18 @@ def test_endpoints_against_vertex_enumeration():
         checked += 1
 
 
+def _dense(cset):
+    """Both endpoints on the dense simplex, whatever ``cset`` holds."""
+    return polytope._endpoints(cset, polytope._solve_dense, "dense")
+
+
+def _highs(cset, engine=None):
+    """Both endpoints on HiGHS: warm on ``engine``, cold without one."""
+    if engine is None:
+        engine = HighsModel(cset.n)
+    return polytope._endpoints_highs(cset, engine)
+
+
 def test_dense_and_highs_backends_agree():
     rng = np.random.default_rng(2)
     for _ in range(40):
@@ -104,8 +116,8 @@ def test_dense_and_highs_backends_agree():
         q = int(rng.integers(1, (1 << n) - 1))
         picks = rng.choice((1 << n) - 1, size=q, replace=False) + 1
         cset = build_exact_constraints(p, [Label(n, int(b)) for b in picks])
-        dense = solve_endpoints(cset, solver="dense")
-        highs = solve_endpoints(cset, solver="highs")
+        dense = _dense(cset)
+        highs = _highs(cset)
         assert dense.lower == pytest.approx(highs.lower, abs=1e-9)
         assert dense.upper == pytest.approx(highs.upper, abs=1e-9)
 
@@ -123,10 +135,24 @@ def test_dense_and_highs_agree_on_degenerate_affine_sets():
         q = int(rng.integers(4, 20))
         picks = rng.choice((1 << n) - 1, size=q, replace=False) + 1
         cset = build_exact_constraints(p, [Label(n, int(b)) for b in picks])
-        dense = solve_endpoints(cset, solver="dense")
-        highs = solve_endpoints(cset, solver="highs")
+        dense = _dense(cset)
+        highs = _highs(cset)
         assert dense.lower == pytest.approx(highs.lower, abs=1e-9)
         assert dense.upper == pytest.approx(highs.upper, abs=1e-9)
+
+
+def test_backend_follows_the_constraint_set():
+    rng = np.random.default_rng(6)
+    exact6 = build_exact_constraints(
+        sample_dirichlet_uniform(6, rng), Gauge.identity(6).columns
+    )
+    assert solve_endpoints(exact6).solver == "dense"
+    for cset in (exact6, ConstraintSet.empty(2)):
+        assert solve_endpoints(add_band(cset, 3, 0.1, 0.05)).solver == "highs"
+    exact7 = build_exact_constraints(
+        sample_dirichlet_uniform(7, rng), Gauge.identity(7).columns
+    )
+    assert solve_endpoints(exact7).solver == "highs"
 
 
 def test_witnesses_are_feasible_and_attain_endpoints():
@@ -166,9 +192,8 @@ def test_infeasible_constraint_sets_are_reported():
     # mu(1) = mu(2) = 1 pins all mass on syndrome 0, whose coefficient at
     # label 3 is +1; demanding mu(3) = -1 on top is impossible.
     cset = ConstraintSet(2, {1: (1.0, 1.0), 2: (1.0, 1.0), 3: (-1.0, -1.0)})
-    for backend in ("dense", "highs"):
-        result = solve_endpoints(cset, solver=backend)
-        assert result.status == "infeasible"
+    for solve in (_dense, _highs):
+        assert solve(cset).status == "infeasible"
     empty = add_band(add_band(ConstraintSet.empty(2), 1, 0.8, 0.05), 1, 0.2, 0.05)
     assert empty.has_empty_band()
     assert solve_endpoints(empty).status == "infeasible"
@@ -206,7 +231,7 @@ def test_dense_pair_reproduces_the_recorded_witnesses(monkeypatch):
         for (status, x), key in zip(pair, ("x_lo", "x_hi")):
             assert status == ("infeasible" if case[key] is None else "solved")
             assert (None if x is None else [float(v).hex() for v in x]) == case[key]
-        result = solve_endpoints(cset, solver="dense")
+        result = _dense(cset)
         assert (result.status, result.solver) == (case["status"], "dense")
         assert (result.lower.hex(), result.upper.hex()) == (case["L"], case["U"])
         if case["status"] == "solved":
@@ -215,12 +240,6 @@ def test_dense_pair_reproduces_the_recorded_witnesses(monkeypatch):
             assert used <= case["pivots"] - case["phase1_pivots"]
         else:
             assert used <= case["pivots"]
-
-
-def test_solver_argument_validation():
-    cset = ConstraintSet.empty(2)
-    with pytest.raises(ValueError):
-        solve_endpoints(cset, solver="simplex2000")
 
 
 def test_constraint_set_json_roundtrip():
@@ -273,8 +292,8 @@ def test_warm_engine_matches_fresh_solves_and_the_oracle():
         with_bands = n <= 3 or case % 2 == 0
         engine = HighsModel(n)
         for cset in _label_steps(n, rng, with_bands):
-            warm = solve_endpoints(cset, solver="highs", engine=engine)
-            cold = solve_endpoints(cset, solver="highs")
+            warm = _highs(cset, engine)
+            cold = _highs(cset)
             assert warm.status == cold.status == "solved"
             assert warm.solver == "highs"
             assert warm.lower == pytest.approx(cold.lower, abs=1e-9)
@@ -297,13 +316,13 @@ def test_tightened_band_changes_the_row_in_place():
     for bits in range(1, 8):
         cset = add_band(cset, bits, spec.value(bits), 0.3)
     engine = HighsModel(3)
-    last = solve_endpoints(cset, solver="highs", engine=engine)
+    last = _highs(cset, engine)
     rows = [h.getNumRow() for h in engine._models]
     assert rows == [8, 8]
     for eta in (0.1, 0.0):
         cset = add_band(cset, 5, spec.value(5), eta)
-        warm = solve_endpoints(cset, solver="highs", engine=engine)
-        cold = solve_endpoints(cset, solver="highs")
+        warm = _highs(cset, engine)
+        cold = _highs(cset)
         assert [h.getNumRow() for h in engine._models] == rows
         # Each model holds every label as a parity row: sum of p_s over the
         # syndromes s with odd u.s, within [(1 - hi)/2, (1 - lo)/2].
@@ -323,13 +342,13 @@ def test_tightened_band_changes_the_row_in_place():
 def test_warm_engine_reports_infeasible_and_empty_bands():
     engine = HighsModel(2)
     base = ConstraintSet(2, {1: (1.0, 1.0), 2: (1.0, 1.0)})
-    assert solve_endpoints(base, solver="highs", engine=engine).status == "solved"
+    assert _highs(base, engine).status == "solved"
     clash = base.with_exact(3, -1.0)
-    assert solve_endpoints(clash, solver="highs", engine=engine).status == "infeasible"
+    assert _highs(clash, engine).status == "infeasible"
     empty = add_band(add_band(base, 3, 0.8, 0.05), 3, 0.2, 0.05)
-    assert solve_endpoints(empty, solver="highs", engine=engine).status == "infeasible"
+    assert solve_endpoints(empty, engine=engine).status == "infeasible"
     # A set that drops a row the model holds is a new problem: rebuilt.
-    again = solve_endpoints(base, solver="highs", engine=engine)
+    again = _highs(base, engine)
     assert again.status == "solved"
     assert again.lower == pytest.approx(1.0, abs=1e-9)
 
@@ -352,7 +371,7 @@ def _warm_engine_and_next_set():
     p = sample_dirichlet_uniform(5, rng)
     cset = build_exact_constraints(p, [Label(5, b) for b in (1, 2, 4, 8, 16)])
     engine = HighsModel(5)
-    solve_endpoints(cset, solver="highs", engine=engine)
+    _highs(cset, engine)
     assert engine.warm
     nxt = build_exact_constraints(p, [Label(5, b) for b in (1, 2, 4, 8, 16, 3, 7)])
     resets = []
@@ -363,9 +382,9 @@ def _warm_engine_and_next_set():
 
 def test_failed_warm_witness_is_resolved_cold(monkeypatch):
     engine, cset, resets = _warm_engine_and_next_set()
-    fresh = solve_endpoints(cset, solver="highs")
+    fresh = _highs(cset)
     _fail_witness_checks(monkeypatch, {1})
-    result = solve_endpoints(cset, solver="highs", engine=engine)
+    result = _highs(cset, engine)
     assert resets == [1]
     assert result.solver == "highs"
     assert result.lower == pytest.approx(fresh.lower, abs=1e-9)
@@ -376,7 +395,7 @@ def test_warm_retry_is_logged(monkeypatch, caplog):
     engine, cset, resets = _warm_engine_and_next_set()
     _fail_witness_checks(monkeypatch, {1})
     with caplog.at_level(logging.DEBUG, logger="stabcert.polytope"):
-        solve_endpoints(cset, solver="highs", engine=engine)
+        _highs(cset, engine)
     assert resets == [1]
     retries = [r for r in caplog.records if r.name == "stabcert.polytope"]
     assert len(retries) == 1
@@ -385,26 +404,22 @@ def test_warm_retry_is_logged(monkeypatch, caplog):
     assert "retrying cold" in retries[0].getMessage()
 
 
-def test_failed_cold_resolve_falls_back_to_dense(monkeypatch):
+def test_failed_cold_resolve_raises(monkeypatch):
     engine, cset, resets = _warm_engine_and_next_set()
-    fresh = solve_endpoints(cset, solver="highs")
     _fail_witness_checks(monkeypatch, {1, 2})
-    result = solve_endpoints(cset, solver="highs", engine=engine)
+    with pytest.raises(SolverError, match="witness validation failed on highs"):
+        _highs(cset, engine)
     assert resets == [1]
-    assert result.solver == "dense"
-    assert result.lower == pytest.approx(fresh.lower, abs=1e-9)
-    assert result.upper == pytest.approx(fresh.upper, abs=1e-9)
 
 
 def test_highs_runs_are_byte_identical():
     cfg = RunConfig(
-        n=6,
+        n=7,
         instance=InstanceSpec(kind="dirichlet"),
         policy=PolicyChoice("witness"),
         epsilon=0.01,
         t_max=8,
         seed=5,
-        solver="highs",
     )
     first = json.dumps(run_adaptive(cfg).to_json_dict(), sort_keys=True)
     second = json.dumps(run_adaptive(cfg).to_json_dict(), sort_keys=True)

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stabcert import polytope
 from stabcert.gf2 import Label, XorBasis, rank
 from stabcert.policy import PolicyChoice
 from stabcert.polytope import (
     ConstraintSet,
     EndpointResult,
+    HighsModel,
     add_band,
     solve_endpoints,
 )
@@ -172,7 +174,6 @@ def test_clipped_highs_witness_is_renormalized():
         epsilon=0.01,
         t_max=40,
         seed=1,
-        solver="highs",
     )
     trace = run_adaptive(cfg)
     assert trace.stop_reason == "width"
@@ -296,7 +297,6 @@ def test_run_config_json_roundtrip():
         t_max=4,
         shots=ShotModel.parse("finite:Ns=500,delta=0.1,Tmax=4"),
         initial_gauge=("u1", "u2", "u4", "u8", "u10", "u20"),
-        solver="highs",
     )
     again = RunConfig.from_json_dict(cfg.to_json_dict())
     assert again == cfg
@@ -325,6 +325,8 @@ def test_config_parsers_reject_unknown_keys():
         RunConfig.from_json_dict(dict(data, solvr="dense"))
     with pytest.raises(ValueError, match="tiebreak"):
         RunConfig.from_json_dict(dict(data, tiebreak="lexicographic"))
+    with pytest.raises(ValueError, match="solver"):
+        RunConfig.from_json_dict(dict(data, solver="highs"))
     with pytest.raises(ValueError, match="radius"):
         RunConfig.from_json_dict(
             dict(data, instance={"kind": "rho_ex", "radius": 1})
@@ -503,7 +505,9 @@ def test_run_adaptive_matches_recorded_traces():
     # ran the fine policy in a loop of its own (run_fine_grained).  The n=5
     # affine fine run on HiGHS was re-recorded when the HiGHS engine became
     # one model per sense: HiGHS returns another optimal vertex there, which
-    # changes the labels the run picks.
+    # changes the labels the run picks.  The finite-shot runs (now on HiGHS)
+    # and the two affine runs (now dense) were re-recorded when the backend
+    # came to be picked from the constraint set.
     golden = json.loads(
         (Path(__file__).parent / "data" / "golden_traces.json").read_text()
     )
@@ -514,17 +518,20 @@ def test_run_adaptive_matches_recorded_traces():
         "fine",
     }
     assert {g["stop_reason"] for g in golden} == {"width", "cap", "coverage"}
+    backends = set()
     for want in golden:
         trace = run_adaptive(RunConfig.from_json_dict(want["config"]))
         _close(json.loads(json.dumps(trace.to_json_dict())), want)
-        if want["config"]["solver"] == "highs":
-            _check_rounds_against_dense(want)
+        backends |= _check_rounds_on_the_other_backend(want)
+    assert backends == {"dense", "highs"}
 
 
-def _check_rounds_against_dense(trace: dict) -> None:
-    """Every round's [L, U] equals a fresh dense solve of its constraints."""
+def _check_rounds_on_the_other_backend(trace: dict) -> set[str]:
+    """Every round's [L, U] equals a cold solve of its constraints on the
+    backend the run did not use; returns the backends the run used."""
     n = trace["config"]["n"]
     cset = ConstraintSet.empty(n)
+    used = set()
     for record in trace["rounds"]:
         for token, mu in record["measured"].items():
             bits = Label.from_token(token, n).bits
@@ -532,10 +539,15 @@ def _check_rounds_against_dense(trace: dict) -> None:
                 cset = add_band(cset, bits, mu, trace["eta"])
             else:
                 cset = cset.with_exact(bits, mu)
-        dense = solve_endpoints(cset, solver="dense", want_witnesses=False)
-        assert dense.solver == "dense"
-        assert record["L"] == pytest.approx(dense.lower, abs=1e-9)
-        assert record["U"] == pytest.approx(dense.upper, abs=1e-9)
+        backend = solve_endpoints(cset).solver
+        used.add(backend)
+        if backend == "dense":
+            other = polytope._endpoints_highs(cset, HighsModel(n))
+        else:
+            other = polytope._endpoints(cset, polytope._solve_dense, "dense")
+        assert record["L"] == pytest.approx(other.lower, abs=1e-9)
+        assert record["U"] == pytest.approx(other.upper, abs=1e-9)
+    return used
 
 
 def test_ensemble_rounds_rows_shape():
